@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Any, Mapping, Optional, Sequence
 
 from .dualgraph import DualGraph, Edge, Vertex
@@ -19,6 +20,7 @@ from .errors import InputError
 from .lattice import DivisorClass, SurfaceModel
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_INTEGER_RE = re.compile(r"^[+-]?\d+$")
 
 
 def encode_rational(v: Fraction):
@@ -42,11 +44,22 @@ def parse_rational(v) -> Fraction:
     raise InputError(f"expected a rational, got {type(v).__name__}")
 
 
+def _encode_class(c: DivisorClass) -> list:
+    den = c.den
+    if den == 1:
+        return list(c.nums)
+    out = []
+    for n in c.nums:
+        g = gcd(n, den)
+        out.append(n // g if g == den else f"{n // g}/{den // g}")
+    return out
+
+
 def to_jsonable(obj) -> Any:
     if isinstance(obj, Fraction):
         return encode_rational(obj)
     if isinstance(obj, DivisorClass):
-        return [encode_rational(c) for c in obj]
+        return _encode_class(obj)
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
@@ -85,10 +98,20 @@ def _reject_float(s: str):
     raise InputError(f"floating point literal {s!r} in input; use p/q")
 
 
+def _parse_coefficient(v):
+    """parse_rational, except that integers stay ints, which keeps the
+    class constructor on its all-integer path."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and _INTEGER_RE.match(v):
+        return int(v)
+    return parse_rational(v)
+
+
 def parse_class(data, model: Optional[SurfaceModel] = None) -> DivisorClass:
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise InputError("a divisor class must be an array of rationals")
-    c = DivisorClass([parse_rational(v) for v in data])
+    c = DivisorClass([_parse_coefficient(v) for v in data])
     if model is not None and len(c) != model.basis_size:
         raise InputError(
             f"class length {len(c)} does not match the model basis "
@@ -106,21 +129,26 @@ def parse_class_arg(text: str,
     return parse_class(parts, model)
 
 
+def _is_int(v) -> bool:
+    """JSON integers only: booleans are ints to Python but not here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_model(data) -> SurfaceModel:
     if not isinstance(data, Mapping):
         raise InputError("model JSON must be an object")
     kind = data.get("kind")
     if kind == "p2_blowup":
         points = data.get("points")
-        if not isinstance(points, int) or points < 0:
+        if not _is_int(points) or points < 0:
             raise InputError("p2_blowup needs integer points >= 0")
         return SurfaceModel.plane_blowup(points)
     if kind == "hirzebruch":
         e = data.get("e")
         points = data.get("points")
-        if not isinstance(e, int) or e < 0:
+        if not _is_int(e) or e < 0:
             raise InputError("hirzebruch needs integer e >= 0")
-        if not isinstance(points, int) or points < 0:
+        if not _is_int(points) or points < 0:
             raise InputError("hirzebruch needs integer points >= 0")
         return SurfaceModel.hirzebruch(e, points)
     if kind == "custom":
@@ -153,7 +181,7 @@ def parse_graph(data) -> DualGraph:
         if not isinstance(vid, str) or not vid:
             raise InputError("each vertex needs a nonempty string id")
         genus = rv.get("genus", 0)
-        if not isinstance(genus, int):
+        if not _is_int(genus):
             raise InputError(f"vertex {vid}: genus must be an integer")
         if "self" not in rv:
             raise InputError(f"vertex {vid}: missing self-intersection")
@@ -172,7 +200,7 @@ def parse_graph(data) -> DualGraph:
         if not isinstance(u, str) or not isinstance(v, str):
             raise InputError("each edge needs string endpoints u and v")
         mult = re_.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_int(mult) or mult < 1:
             raise InputError(f"edge {u}-{v}: mult must be an integer >= 1")
         edges.append(Edge(u, v, mult))
     model = None

@@ -11,7 +11,8 @@ with a fixed Gram matrix:
 
 A third, abstract kind carries nothing but a user-supplied Gram matrix;
 it exists for dual-graph-only workflows where no global model is needed.
-Classes are plain coefficient vectors over exact rationals.
+Classes are exact rational coefficient vectors, stored as integer
+numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -37,46 +40,90 @@ def _frac(x) -> Fraction:
 
 
 class DivisorClass:
-    """An immutable coefficient vector in a fixed model basis."""
+    """An immutable class in a fixed model basis.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators ``nums`` over one denominator ``den``,
+    kept canonical (``den > 0``, ``gcd(den, *nums) == 1``) so equal
+    classes have equal fields.  ``Fraction`` coordinates are built only
+    when read through ``coeffs``, indexing or iteration.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in coeffs))
+        vals = tuple(coeffs)
+        if all(type(c) is int for c in vals):
+            nums, den = vals, 1
+        else:
+            fracs = [_frac(c) for c in vals]
+            den = lcm(*(f.denominator for f in fracs))
+            nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, nums: tuple, den: int) -> "DivisorClass":
+        """Build from integer numerators over a positive denominator,
+        reducing to lowest terms without re-validating."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "nums", nums)
+        object.__setattr__(obj, "den", den)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(n, den) for n in self.nums)
+
     def __len__(self):
-        return len(self.coeffs)
+        return len(self.nums)
 
     def __getitem__(self, i):
-        return self.coeffs[i]
+        if isinstance(i, slice):
+            return self.coeffs[i]
+        return Fraction(self.nums[i], self.den)
 
     def __iter__(self):
         return iter(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, DivisorClass) and self.coeffs == other.coeffs
+        return (isinstance(other, DivisorClass) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
+
+    def _combine(self, other: "DivisorClass", op) -> "DivisorClass":
+        if len(self) != len(other):
+            raise InputError("dimension mismatch")
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return DivisorClass._make(
+            tuple(op(a * fa, b * fb) for a, b in zip(self.nums, other.nums)),
+            da * fa)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self) != len(other):
-            raise InputError("dimension mismatch")
-        return DivisorClass(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return self._combine(other, add)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self) != len(other):
-            raise InputError("dimension mismatch")
-        return DivisorClass(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return DivisorClass(-c for c in self.coeffs)
+        return DivisorClass._make(tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, scalar):
-        return DivisorClass(c * _frac(scalar) for c in self.coeffs)
+        s = scalar if type(scalar) is int else _frac(scalar)
+        return DivisorClass._make(
+            tuple(n * s.numerator for n in self.nums), self.den * s.denominator)
 
     __rmul__ = __mul__
 
@@ -84,10 +131,10 @@ class DivisorClass:
         return "DivisorClass(%s)" % (", ".join(str(c) for c in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
 
 @dataclass(frozen=True)
@@ -232,23 +279,22 @@ class SurfaceModel:
         n = self.basis_size
         if len(a) != n or len(b) != n:
             raise InputError("dimension mismatch")
+        an, bn = a.nums, b.nums
         if self.kind is ModelKind.P2_BLOWUP:
-            total = a[0] * b[0]
-            for i in range(1, n):
-                total -= a[i] * b[i]
-            return total
-        if self.kind is ModelKind.HIRZEBRUCH:
-            total = self.degree_e * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
-            for i in range(2, n):
-                total -= a[i] * b[i]
-            return total
-        total = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                g = self.gram_rows[i][j]
-                if g != 0 and a[i] != 0 and b[j] != 0:
-                    total += a[i] * g * b[j]
-        return total
+            total = an[0] * bn[0] - sum(map(mul, an[1:], bn[1:]))
+        elif self.kind is ModelKind.HIRZEBRUCH:
+            total = (self.degree_e * an[0] * bn[0] + an[0] * bn[1]
+                     + an[1] * bn[0] - sum(map(mul, an[2:], bn[2:])))
+        else:
+            total = Fraction(0)
+            for i in range(n):
+                if an[i] == 0:
+                    continue
+                for j in range(n):
+                    g = self.gram_rows[i][j]
+                    if g != 0 and bn[j] != 0:
+                        total += an[i] * g * bn[j]
+        return Fraction(total, a.den * b.den)
 
     def self_intersection(self, a: DivisorClass) -> Fraction:
         return self.intersect(a, a)
@@ -321,7 +367,10 @@ def blow_up_transform(
     for c, m in zip(classes, mults):
         if len(c) != model.basis_size:
             raise InputError("dimension mismatch")
-        out.append(DivisorClass(list(c.coeffs) + [-_frac(m)]))
+        m = _frac(m)
+        out.append(DivisorClass._make(
+            tuple(x * m.denominator for x in c.nums)
+            + (-m.numerator * c.den,), c.den * m.denominator))
     return bigger, out
 
 
@@ -345,5 +394,6 @@ def contract_exceptional(
     for c in classes:
         if len(c) != model.basis_size:
             raise InputError("dimension mismatch")
-        out.append(DivisorClass(x for j, x in enumerate(c.coeffs) if j != index))
+        out.append(DivisorClass._make(
+            c.nums[:index] + c.nums[index + 1:], c.den))
     return smaller, out

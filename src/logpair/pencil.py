@@ -35,8 +35,7 @@ def dim_lower_bound_p2(degree: int, mults: Sequence[int]) -> Fraction:
     given degree with assigned point multiplicities:
     d(d+3)/2 - sum nu(nu+1)/2."""
     ms = _check_mults(mults)
-    return (Fraction(degree * (degree + 3), 2)
-            - sum(Fraction(v * (v + 1), 2) for v in ms))
+    return Fraction(degree * (degree + 3) - sum(v * (v + 1) for v in ms), 2)
 
 
 def big_margin_p2(degree: int, mults: Sequence[int]) -> Fraction:
@@ -57,7 +56,7 @@ def dim_lower_bound_hirzebruch(
     (a+1)(b + ae/2) + a - sum nu(nu+1)/2."""
     ms = _check_mults(mults)
     return ((a + 1) * (b + Fraction(a * e, 2)) + a
-            - sum(Fraction(v * (v + 1), 2) for v in ms))
+            - Fraction(sum(v * (v + 1) for v in ms), 2))
 
 
 def big_margin_hirzebruch(
@@ -66,7 +65,7 @@ def big_margin_hirzebruch(
     # equals half the self-intersection of the transformed class
     ms = _check_mults(mults)
     return (a * (b + Fraction(a * e, 2))
-            - sum(Fraction(v * v, 2) for v in ms))
+            - Fraction(sum(v * v for v in ms), 2))
 
 
 def is_big_hirzebruch(a: int, b: int, e: int, mults: Sequence[int]) -> bool:
@@ -119,18 +118,14 @@ def _class_profile(model: SurfaceModel, c: DivisorClass):
     """Split a class into (leading degrees, point multiplicities) when
     the model kind has a closed-form dimension count."""
     if model.kind is ModelKind.P2_BLOWUP:
-        degs = (c[0],)
-        mults = [-c[i] for i in model.exceptional_indices]
+        lead = 1
     elif model.kind is ModelKind.HIRZEBRUCH:
-        degs = (c[0], c[1])
-        mults = [-c[i] for i in model.exceptional_indices]
+        lead = 2
     else:
         return None
-    if any(v.denominator != 1 for v in degs):
+    if c.den != 1:
         return None
-    if any(v.denominator != 1 for v in mults):
-        return None
-    return tuple(int(v) for v in degs), [int(v) for v in mults]
+    return c.nums[:lead], [-v for v in c.nums[lead:]]
 
 
 def bigness_of(model: SurfaceModel, c: DivisorClass) -> tuple[
@@ -169,10 +164,7 @@ def dim_bound_of(model: SurfaceModel,
 def _integer_content(c: DivisorClass) -> int:
     if not c.is_integral():
         raise NoPencilError("residual class is not integral")
-    g = 0
-    for v in c:
-        g = gcd(g, abs(int(v)))
-    return g
+    return gcd(*c.nums)
 
 
 def analyze_adjoint_system(

@@ -198,3 +198,51 @@ def test_fractional_zariski_output_uses_pq_strings(capsys):
     assert doc["coefficients"] == ["1/3"]
     floats = [v for v in doc["P"] + doc["N"] if isinstance(v, float)]
     assert not floats
+
+
+def _write_json(tmp_path, name, doc) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_boolean_points_is_input_error(tmp_path, capsys):
+    model = _write_json(tmp_path, "model.json",
+                        {"kind": "p2_blowup", "points": True})
+    code, out, err = run_cli(
+        capsys, "zariski", model, "--class", "1,2",
+        "--candidates", f"{FIXTURES}/one_point_candidates.json")
+    assert code == 1
+    assert out == ""
+    assert "p2_blowup needs integer points" in err
+
+
+def test_boolean_hirzebruch_degree_is_input_error(tmp_path, capsys):
+    model = _write_json(tmp_path, "model.json",
+                        {"kind": "hirzebruch", "e": True, "points": 0})
+    cands = _write_json(tmp_path, "cands.json", [[0, 1]])
+    code, out, err = run_cli(capsys, "zariski", model, "--class", "1,1",
+                             "--candidates", cands)
+    assert code == 1
+    assert out == ""
+    assert "hirzebruch needs integer e" in err
+
+
+def test_boolean_vertex_genus_is_input_error(tmp_path, capsys):
+    graph = _write_json(tmp_path, "graph.json", {
+        "vertices": [{"id": "A", "genus": True, "self": -2}],
+        "edges": []})
+    code, out, err = run_cli(capsys, "peel", graph)
+    assert code == 1
+    assert out == ""
+    assert "vertex A: genus must be an integer" in err
+
+
+def test_boolean_edge_mult_is_input_error(tmp_path, capsys):
+    graph = _write_json(tmp_path, "graph.json", {
+        "vertices": [{"id": "A", "self": -2}, {"id": "B", "self": -2}],
+        "edges": [{"u": "A", "v": "B", "mult": True}]})
+    code, out, err = run_cli(capsys, "peel", graph)
+    assert code == 1
+    assert out == ""
+    assert "edge A-B: mult must be an integer" in err

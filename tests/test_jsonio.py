@@ -1,16 +1,17 @@
 """Canonical JSON wire formats: exact rationals, deterministic output."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from logpair import DivisorClass, InputError, SurfaceModel
 from logpair.jsonio import (dumps, encode_rational, load_classes,
-                            load_graph, load_model, parse_class_arg,
-                            parse_graph, parse_model, parse_rational,
-                            render_table, run_manifest, sha256_file,
-                            to_jsonable)
+                            load_graph, load_model, parse_class,
+                            parse_class_arg, parse_graph, parse_model,
+                            parse_rational, render_table, run_manifest,
+                            sha256_file, to_jsonable)
 
 
 def test_rational_encoding_round_trip():
@@ -55,6 +56,24 @@ def test_to_jsonable_rejects_floats():
 def test_divisor_class_serialization():
     c = DivisorClass([1, Fraction(-2, 3)])
     assert to_jsonable(c) == [1, "-2/3"]
+    rng = random.Random(5)
+    for n in (1, 4, 60):
+        for _ in range(20):
+            xs = [Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 6, 9)))
+                  for _ in range(n)]
+            c = DivisorClass(xs)
+            assert to_jsonable(c) == [encode_rational(x) for x in xs]
+            text = ",".join(str(encode_rational(x)) for x in xs)
+            assert parse_class_arg(text) == c
+
+
+def test_parse_class_integer_spellings():
+    c = parse_class_arg("+3,-0,007,4/2")
+    assert list(c) == [3, 0, 7, 2] and c.den == 1
+    with pytest.raises(InputError):
+        parse_class_arg("1,true")
+    with pytest.raises(InputError):
+        parse_class([1, True])
 
 
 def test_parse_model_kinds(tmp_path):

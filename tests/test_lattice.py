@@ -1,10 +1,12 @@
 """Lattice layer: models, classes, pairings, adjunction, transforms."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from logpair import (DivisorClass, InputError, SurfaceModel,
+from logpair import (DivisorClass, InputError, ModelKind, SurfaceModel,
                      blow_up_transform, contract_exceptional)
 
 
@@ -54,6 +56,17 @@ def test_floats_rejected_everywhere():
         DivisorClass([1, 2]) * 0.5
     with pytest.raises(InputError):
         SurfaceModel.custom([[1.0]])
+    half = DivisorClass([1, Fraction(1, 2)])
+    plane, ruled = SurfaceModel.plane_blowup(2), SurfaceModel.hirzebruch(1, 1)
+    for bad in (lambda: DivisorClass([Fraction(1, 2), 2.0]),
+                lambda: half * 0.5,
+                lambda: 0.5 * half,
+                lambda: plane.plane_class(1.0, []),
+                lambda: plane.plane_class(2, [0.5]),
+                lambda: ruled.ruled_class(1, 0.5),
+                lambda: ruled.ruled_class(1, 0, [1.0])):
+        with pytest.raises(InputError):
+            bad()
 
 
 def test_adjunction_genus_classics():
@@ -159,3 +172,136 @@ def test_format_and_describe():
     assert m.describe() == {"kind": "p2_blowup", "points": 2}
     assert SurfaceModel.hirzebruch(3, 1).describe() == {
         "kind": "hirzebruch", "e": 3, "points": 1}
+
+
+# -- differential checks of the integer-numerator core ----------------------
+
+_DENOMINATORS = (1, 1, 1, 2, 3, 4, 6, 7, 12)
+
+
+def _random_coeffs(rng, n):
+    """Mixed ints and Fractions with mixed denominators."""
+    out = []
+    for _ in range(n):
+        num = rng.randint(-9, 9)
+        den = rng.choice(_DENOMINATORS)
+        out.append(num if den == 1 else Fraction(num, den))
+    return out
+
+
+def _gram_entries(model) -> list:
+    """Nonzero (i, j, value) entries of the closed-form Gram matrix,
+    written out independently of the model's own pairing code."""
+    n = model.basis_size
+    if model.kind is ModelKind.CUSTOM:
+        return [(i, j, Fraction(model.gram_rows[i][j]))
+                for i in range(n) for j in range(n)
+                if model.gram_rows[i][j] != 0]
+    if model.kind is ModelKind.P2_BLOWUP:
+        lead = [(0, 0, Fraction(1))]
+        first = 1
+    else:
+        lead = [(0, 0, Fraction(model.degree_e)), (0, 1, Fraction(1)),
+                (1, 0, Fraction(1))]
+        first = 2
+    return lead + [(i, i, Fraction(-1)) for i in range(first, n)]
+
+
+def _oracle_intersect(entries, xs, ys) -> Fraction:
+    return sum((Fraction(xs[i]) * g * Fraction(ys[j]) for i, j, g in entries),
+               Fraction(0))
+
+
+def _random_custom(rng, n):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+            rows[i][j] = rows[j][i] = v
+    return SurfaceModel.custom(rows)
+
+
+def _models(rng):
+    for n in range(21):
+        yield SurfaceModel.plane_blowup(n)
+    for g in (0, 1, 5, 17, 40):  # up to 2 + 4*40 + 4 = 166 coordinates
+        for e in (0, rng.randint(0, g), g):
+            yield SurfaceModel.hirzebruch(e, 4 * g + 4)
+    for n in (1, 3, 6):
+        yield _random_custom(rng, n)
+
+
+def _assert_canonical(c):
+    assert c.den > 0
+    assert gcd(c.den, *c.nums) == 1
+
+
+def test_intersect_matches_fraction_oracle():
+    rng = random.Random(20230219)
+    for model in _models(rng):
+        n = model.basis_size
+        entries = _gram_entries(model)
+        for _ in range(4):
+            xs, ys = _random_coeffs(rng, n), _random_coeffs(rng, n)
+            a, b = model.divisor(xs), model.divisor(ys)
+            got = model.intersect(a, b)
+            assert isinstance(got, Fraction)
+            assert got == _oracle_intersect(entries, xs, ys)
+            assert got == model.intersect(b, a)
+
+
+def test_arithmetic_matches_fraction_coordinatewise():
+    rng = random.Random(7)
+    scalars = (0, 1, -1, 3, Fraction(1, 3), Fraction(-5, 4), Fraction(6, 2))
+    for n in (1, 2, 9, 40, 166):
+        for _ in range(10):
+            xs, ys = _random_coeffs(rng, n), _random_coeffs(rng, n)
+            a, b = DivisorClass(xs), DivisorClass(ys)
+            assert list(a) == [Fraction(x) for x in xs]
+            assert list(a + b) == [x + y for x, y in zip(xs, ys)]
+            assert list(a - b) == [x - y for x, y in zip(xs, ys)]
+            assert list(-a) == [-x for x in xs]
+            s = rng.choice(scalars)
+            assert list(a * s) == [x * s for x in xs]
+            assert list(s * a) == [x * s for x in xs]
+            for c in (a, b, a + b, a - b, -a, a * s, s * a):
+                _assert_canonical(c)
+                assert all(isinstance(v, Fraction) for v in c.coeffs)
+            assert [a[i] for i in range(n)] == list(a.coeffs)
+
+
+def test_classes_are_canonical_across_routes():
+    rng = random.Random(11)
+    for n in (1, 5, 30):
+        for _ in range(10):
+            c = DivisorClass(_random_coeffs(rng, n))
+            third = c * Fraction(1, 3)
+            for other in (third * 3, 3 * third, third + third + third,
+                          c + c - c, -(-c), c * Fraction(2, 2)):
+                assert other == c
+                assert hash(other) == hash(c)
+                assert (other.nums, other.den) == (c.nums, c.den)
+            assert (c - c).is_zero()
+            assert c - c == DivisorClass([0] * n)
+    half = DivisorClass([Fraction(2, 4), 1])
+    assert half == DivisorClass([Fraction(1, 2), 1])
+    assert hash(half) == hash(DivisorClass([Fraction(1, 2), 1]))
+    assert (half.nums, half.den) == ((1, 2), 2)
+    whole = half + DivisorClass([Fraction(1, 2), 0])
+    assert whole == DivisorClass([1, 1]) and whole.den == 1
+    assert whole.is_integral() and not half.is_integral()
+    assert DivisorClass([0, 0]).den == 1
+
+
+def test_transforms_keep_canonical_form():
+    m = SurfaceModel.plane_blowup(2)
+    c = m.divisor([1, Fraction(1, 2), 0])
+    m3, (up,) = blow_up_transform(m, [c], [Fraction(1, 3)])
+    assert list(up) == [1, Fraction(1, 2), 0, Fraction(-1, 3)]
+    assert up.den == 6
+    _, (down,) = contract_exceptional(m, 1, [c])
+    assert list(down) == [1, 0]
+    assert down == DivisorClass([1, 0]) and down.den == 1
+    _, (back,) = contract_exceptional(m3, 3, [up])
+    assert back == c and hash(back) == hash(c)
+
