@@ -18,8 +18,7 @@ from .errors import (InputError, InternalError, LogPairError,
 from .lattice import (DivisorClass, HodgeData, ModelKind, SurfaceModel,
                       blow_up_transform, contract_exceptional)
 from .dualgraph import (DualGraph, Edge, Segment, SegmentReport, Vertex,
-                        branching_number, classify_segments,
-                        graph_arithmetic_genus)
+                        classify_segments)
 from .peeling import (BarkResult, MinimalizationResult,
                       almost_minimalize, bark, bark_square_bound_check,
                       negative_curve_check, sharp_boundary_class,
@@ -28,9 +27,10 @@ from .zariski import (NEF_SCOPE, DecompositionCheck,
                       ZariskiDecomposition, verify_decomposition,
                       zariski_decompose)
 from .invariants import (CorrectionResult, EulerBoundReport,
-                         LogInvariants, TheoremCheck, bmy_check,
-                         euler_bound_check, genus_asymptotic_bound,
-                         genus_bound, log_chern, log_genus_rational,
+                         InvariantReport, LogInvariants, TheoremCheck,
+                         bmy_check, euler_bound_check,
+                         genus_asymptotic_bound, genus_bound,
+                         invariant_report, log_chern, log_genus_rational,
                          main_theorem_predicate, noether_check,
                          sharp_completion)
 from .pencil import (FixedPart, PencilResult, analyze_adjoint_system,
@@ -48,19 +48,19 @@ __all__ = [
     "BarkResult", "ConstraintReport", "CorrectionResult",
     "DecompositionCheck", "DivisorClass", "DualGraph", "Edge",
     "EulerBoundReport", "FamilyInstance", "FixedPart", "HodgeData",
-    "InputError", "InternalError", "LogInvariants", "LogPairError",
-    "MinimalizationResult", "ModelKind", "NEF_SCOPE", "NoPencilError",
-    "NotDecomposableError", "PencilResult", "Segment", "SegmentReport",
-    "SurfaceModel", "TheoremCheck", "Vertex", "ZariskiDecomposition",
-    "almost_minimalize", "analyze_adjoint_system", "bark",
-    "bark_square_bound_check", "big_margin_hirzebruch", "big_margin_p2",
-    "blow_up_transform", "bmy_check", "branching_number",
-    "classify_segments", "contract_exceptional",
+    "InputError", "InternalError", "InvariantReport", "LogInvariants",
+    "LogPairError", "MinimalizationResult", "ModelKind", "NEF_SCOPE",
+    "NoPencilError", "NotDecomposableError", "PencilResult", "Segment",
+    "SegmentReport", "SurfaceModel", "TheoremCheck", "Vertex",
+    "ZariskiDecomposition", "almost_minimalize",
+    "analyze_adjoint_system", "bark", "bark_square_bound_check",
+    "big_margin_hirzebruch", "big_margin_p2", "blow_up_transform",
+    "bmy_check", "classify_segments", "contract_exceptional",
     "dim_lower_bound_hirzebruch", "dim_lower_bound_p2",
     "euler_bound_check", "evaluate_constraints",
-    "genus_asymptotic_bound", "genus_bound", "graph_arithmetic_genus",
-    "interval_report_x8_y1", "is_big_hirzebruch", "is_big_p2",
-    "log_chern", "log_genus_rational", "main_theorem_predicate",
+    "genus_asymptotic_bound", "genus_bound", "interval_report_x8_y1",
+    "invariant_report", "is_big_hirzebruch", "is_big_p2", "log_chern",
+    "log_genus_rational", "main_theorem_predicate",
     "negative_curve_check", "noether_check", "reduced_bounds_x8_y1",
     "run_ex2", "run_ex3", "run_example", "run_search",
     "sharp_boundary_class", "sharp_completion",

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
 from .errors import InputError, InternalError
 from .examples import run_example
-from .invariants import (bmy_check, euler_bound_check, log_chern,
-                         noether_check)
-from .jsonio import (dumps, encode_rational, load_classes, load_graph,
-                     load_model, parse_class_arg, render_table,
-                     run_manifest)
+from .invariants import invariant_report
+from .jsonio import (dumps, load_classes, load_graph, load_model,
+                     parse_class_arg, render_table, run_manifest,
+                     to_jsonable)
 from .peeling import bark
 from .pencil import analyze_adjoint_system
 from .search import run_search
@@ -132,8 +130,6 @@ def _flatten(obj, prefix: str, rows: list) -> None:
 
 
 def _scalar(v) -> str:
-    if isinstance(v, Fraction):
-        return str(encode_rational(v))
     if isinstance(v, bool):
         return "yes" if v else "no"
     if v is None:
@@ -190,32 +186,28 @@ def _compact_span(values: list) -> str:
     return ", ".join(f"{a}" if a == b else f"{a}..{b}" for a, b in runs)
 
 
-def _run(args) -> tuple[str, int, list[str]]:
-    """Returns (output text, exit code, input file paths)."""
+def _report(args) -> tuple[object, list[str]]:
+    """(report, input file paths) for a report subcommand."""
     if args.command == "peel":
-        graph = load_graph(args.graph)
-        bk = bark(graph)
-        report = {
-            "coefficients": dict(bk.coefficients),
-            "sharp_coefficients": dict(bk.sharp_coeffs),
+        bk = bark(load_graph(args.graph))
+        return {
+            "coefficients": bk.coefficients,
+            "sharp_coefficients": bk.sharp_coeffs,
             "bark_square": bk.bark_square,
             "gram_square": bk.gram_square,
             "tips": bk.tips_count,
             "bound_ok": bk.bound_ok,
             "segments": [
-                {"kind": s.kind, "vertices": list(s.vertices),
+                {"kind": s.kind, "vertices": s.vertices,
                  "attach": s.attach}
                 for s in bk.report.admissible_segments
             ],
             "excluded": [
-                {"kind": s.kind, "vertices": list(s.vertices),
+                {"kind": s.kind, "vertices": s.vertices,
                  "reason": s.reason}
                 for s in bk.report.excluded
             ],
-        }
-        text = (dumps(report) if args.format == "json"
-                else _kv_table(report))
-        return text, 0, [args.graph]
+        }, [args.graph]
 
     if args.command == "zariski":
         model = load_model(args.model)
@@ -223,104 +215,72 @@ def _run(args) -> tuple[str, int, list[str]]:
         candidates = load_classes(args.candidates, model)
         z = zariski_decompose(model, cls, candidates)
         checks = verify_decomposition(model, cls, candidates, z)
-        report = {
-            "P": list(z.positive),
-            "N": list(z.negative),
-            "support": list(z.support),
-            "coefficients": list(z.coefficients),
-            "rounds": z.rounds,
-            "nef_scope": z.nef_scope,
-            "checks": {
-                "sum_matches": checks.sum_matches,
-                "coefficients_nonnegative":
-                    checks.coefficients_nonnegative,
-                "support_negative_definite":
-                    checks.support_negative_definite,
-                "positive_orthogonal_to_support":
-                    checks.positive_orthogonal_to_support,
-                "positive_nonnegative_on_candidates":
-                    checks.positive_nonnegative_on_candidates,
-                "positive_times_input_is_square":
-                    checks.positive_times_input_is_square,
-                "all_ok": checks.all_ok,
-            },
-        }
-        text = (dumps(report) if args.format == "json"
-                else _kv_table(report))
-        return text, 0, [args.model, args.candidates]
+        return {
+            **to_jsonable(z),
+            "checks": {**to_jsonable(checks), "all_ok": checks.all_ok},
+        }, [args.model, args.candidates]
 
     if args.command == "invariants":
         model = load_model(args.model)
         graph = load_graph(args.graph)
-        cls = parse_class_arg(args.cls, model)
-        inv = log_chern(model, cls, graph)
-        d_sq = model.self_intersection(cls)
-        ebr = euler_bound_check(inv, model.hodge)
-        bk = bark(graph)
-        p_sq = (model.self_intersection(model.canonical_class() + cls)
-                - bk.gram_square)
-        report = {
-            "c1bar_sq": inv.c1bar_sq,
-            "c2bar": inv.c2bar,
-            "pa_D": inv.pa_D,
-            "l": inv.l,
-            "chi_bar": inv.chi_bar,
-            "e_open": inv.e_open,
-            "pg_log": inv.pg_log,
-            "h1_log": inv.h1_log,
-            "m": inv.m,
-            "boundary_square": d_sq,
+        rep = invariant_report(model, parse_class_arg(args.cls, model),
+                               graph)
+        ebr = rep.euler_bound
+        return {
+            **to_jsonable(rep.invariants),
+            "boundary_square": rep.boundary_square,
             "checks": {
-                "noether": noether_check(inv, d_sq),
+                "noether": rep.noether_holds,
                 "euler_hypothesis": ebr.hypothesis_holds,
                 "euler_conclusion": ebr.conclusion_holds,
                 "euler_strong_conclusion": ebr.strong_conclusion_holds,
                 "chi_omega_log": ebr.chi_omega_log,
-                "bmy": bmy_check(p_sq, bk.gram_square, inv.c2bar),
+                "bmy": rep.bmy_holds,
             },
-            "bark_square": bk.gram_square,
-            "p_sq": p_sq,
-        }
-        text = (dumps(report) if args.format == "json"
-                else _kv_table(report))
-        return text, 0, [args.model, args.graph]
+            "bark_square": rep.bark.gram_square,
+            "p_sq": rep.p_sq,
+        }, [args.model, args.graph]
 
     if args.command == "pencil":
         model = load_model(args.model)
         boundary = parse_class_arg(args.divisor, model)
         candidates = load_classes(args.candidates, model)
-        result = analyze_adjoint_system(model, boundary, candidates)
-        report = result.describe()
-        text = (dumps(report) if args.format == "json"
-                else _kv_table(report))
-        return text, 0, [args.model, args.candidates]
+        return (analyze_adjoint_system(model, boundary, candidates),
+                [args.model, args.candidates])
 
     if args.command == "example":
-        report = run_example(args.name, args.a)
-        text = (dumps(report) if args.format == "json"
-                else _kv_table(report))
-        return text, 0, []
+        return run_example(args.name, args.a), []
 
     if args.command == "search":
-        result = run_search(_span(args.g, "g"), _span(args.x, "x"),
-                            _span(args.y, "y"), threads=args.threads)
-        text = (dumps(result) if args.format == "json"
-                else _search_table(result))
-        return text, 0, []
-
-    if args.command == "selftest":
-        results = run_all(only=args.criterion)
-        if not results:
-            raise InputError("no matching criterion")
-        lines = [r.line() for r in results]
-        ok = all(r.passed for r in results)
-        lines.append("all criteria passed" if ok
-                     else "FAILED criteria: "
-                          + ", ".join(str(r.number) for r in results
-                                      if not r.passed))
-        return "\n".join(lines) + "\n", (0 if ok else 2), []
+        return run_search(_span(args.g, "g"), _span(args.x, "x"),
+                          _span(args.y, "y"), threads=args.threads), []
 
     raise InternalError(f"unhandled command {args.command!r}")
+
+
+def _selftest(args) -> tuple[str, int]:
+    results = run_all(only=args.criterion)
+    if not results:
+        raise InputError("no matching criterion")
+    lines = [r.line() for r in results]
+    ok = all(r.passed for r in results)
+    lines.append("all criteria passed" if ok
+                 else "FAILED criteria: "
+                      + ", ".join(str(r.number) for r in results
+                                  if not r.passed))
+    return "\n".join(lines) + "\n", (0 if ok else 2)
+
+
+def _run(args) -> tuple[str, int, list[str]]:
+    """Returns (output text, exit code, input file paths)."""
+    if args.command == "selftest":
+        text, code = _selftest(args)
+        return text, code, []
+    report, inputs = _report(args)
+    if args.format == "json":
+        return dumps(report), 0, inputs
+    table = _search_table if args.command == "search" else _kv_table
+    return table(to_jsonable(report)), 0, inputs
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -25,7 +25,6 @@ __all__ = [
     "Segment",
     "SegmentReport",
     "classify_segments",
-    "is_negative_definite",
 ]
 
 
@@ -184,14 +183,6 @@ class DualGraph:
         for v in self.vertices:
             total = total + self.class_map[v.id]
         return total
-
-
-def graph_arithmetic_genus(g: DualGraph) -> int:
-    return g.arithmetic_genus()
-
-
-def branching_number(g: DualGraph, vid: str) -> int:
-    return g.branching_number(vid)
 
 
 # -- segment classification -------------------------------------------------

@@ -6,7 +6,8 @@ the command line:
   ex2  a sextic splitting into three conics with eight double points;
        the boundary is 6H - 2(E1+...+E8) on an 8-point blow-up.
   ex3  an irreducible degree-3a curve with one point of multiplicity
-       3a-3 and 4a-4 double points (one free parameter a >= 2).
+       3a-3 and 4a-4 double points (one free parameter
+       2 <= a <= MAX_EX3_A; the model has 4a-2 basis classes).
 
 Each runner produces a full report: pencil extraction, invariants, the
 identity checks, and the peeling/decomposition state of the boundary.
@@ -19,12 +20,14 @@ from typing import Optional
 
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
-from .invariants import (bmy_check, euler_bound_check, log_chern,
-                         noether_check)
+from .invariants import invariant_report
 from .lattice import DivisorClass, SurfaceModel
-from .peeling import bark
 from .pencil import analyze_adjoint_system
 from .zariski import zariski_decompose
+
+# the report grows linearly in a (about 280 bytes of JSON per unit);
+# larger values are refused before any model is built
+MAX_EX3_A = 500
 
 
 def sextic_config() -> tuple[SurfaceModel, DivisorClass, DualGraph,
@@ -54,6 +57,9 @@ def degenerate_plane_config(a: int) -> tuple[
     """
     if not isinstance(a, int) or a < 2:
         raise InputError("the family parameter a must be an integer >= 2")
+    if a > MAX_EX3_A:
+        raise InputError(
+            f"the family parameter a must be at most {MAX_EX3_A} (got {a})")
     n = 4 * a - 3
     m = SurfaceModel.plane_blowup(n)
     boundary = m.plane_class(3 * a, [3 * a - 3] + [2] * (4 * a - 4))
@@ -70,68 +76,42 @@ def degenerate_plane_config(a: int) -> tuple[
 def _base_report(model: SurfaceModel, boundary: DivisorClass,
                  graph: DualGraph,
                  candidates: list[DivisorClass]) -> dict:
-    inv = log_chern(model, boundary, graph)
-    hodge = model.hodge
-    d_sq = model.self_intersection(boundary)
-    ebr = euler_bound_check(inv, hodge)
-    bk = bark(graph)
-    # empty or not, the bark is the negative part used in the surface
-    # inequality; P is the orthogonal remainder of K+D
-    p_sq = (model.self_intersection(model.canonical_class() + boundary)
-            - bk.gram_square)
-    n_sq = bk.gram_square
-    pencil = analyze_adjoint_system(model, boundary, candidates)
+    inv = invariant_report(model, boundary, graph)
+    bk = inv.bark
     z = zariski_decompose(model, model.canonical_class() + boundary,
                           list(graph.class_map.values())
                           if graph.class_map else [])
     return {
         "model": model.describe(),
-        "boundary": list(boundary),
-        "boundary_square": d_sq,
+        "boundary": boundary,
+        "boundary_square": inv.boundary_square,
         "arithmetic_genus": {
             "adjunction": int(model.arithmetic_genus(boundary)),
             "dual_graph": graph.arithmetic_genus(),
         },
-        "invariants": {
-            "c1bar_sq": inv.c1bar_sq,
-            "c2bar": inv.c2bar,
-            "pa_D": inv.pa_D,
-            "l": inv.l,
-            "chi_bar": inv.chi_bar,
-            "e_open": inv.e_open,
-            "pg_log": inv.pg_log,
-            "h1_log": inv.h1_log,
-            "m": inv.m,
-        },
-        "noether_holds": noether_check(inv, d_sq),
-        "euler_bound": {
-            "hypothesis_holds": ebr.hypothesis_holds,
-            "hypothesis_lhs": ebr.hypothesis_lhs,
-            "hypothesis_rhs": ebr.hypothesis_rhs,
-            "chi_omega_log": ebr.chi_omega_log,
-            "conclusion_holds": ebr.conclusion_holds,
-            "strong_conclusion_holds": ebr.strong_conclusion_holds,
-        },
+        "invariants": inv.invariants,
+        "noether_holds": inv.noether_holds,
+        "euler_bound": inv.euler_bound,
         "bark": {
-            "coefficients": dict(bk.coefficients),
+            "coefficients": bk.coefficients,
             "bark_square": bk.bark_square,
             "gram_square": bk.gram_square,
             "tips": bk.tips_count,
             "bound_ok": bk.bound_ok,
         },
         "bmy": {
-            "p_sq": p_sq,
-            "n_sq": n_sq,
-            "c2bar": inv.c2bar,
-            "holds": bmy_check(p_sq, n_sq, inv.c2bar),
+            "p_sq": inv.p_sq,
+            "n_sq": bk.gram_square,
+            "c2bar": inv.invariants.c2bar,
+            "holds": inv.bmy_holds,
         },
         "zariski": {
-            "P": list(z.positive),
-            "N": list(z.negative),
-            "support": list(z.support),
+            "P": z.positive,
+            "N": z.negative,
+            "support": z.support,
             "nef_scope": z.nef_scope,
         },
-        "pencil": pencil.describe(),
+        "pencil": analyze_adjoint_system(model, boundary, candidates),
     }
 
 
@@ -148,7 +128,7 @@ def run_ex3(a: int = 2) -> dict:
     report["name"] = "ex3"
     report["a"] = a
     k_ref = 3 * a
-    k = report["pencil"]["k"]
+    k = report["pencil"].k
     # the value circulated for this family is 3a; exact lattice
     # arithmetic gives D.(H - E0) independent of a.  Both are kept.
     report["k_reference"] = k_ref

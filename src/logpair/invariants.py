@@ -15,6 +15,7 @@ from .dualgraph import DualGraph
 from .errors import InputError, InternalError
 from .lattice import DivisorClass, HodgeData, SurfaceModel
 from .linalg import is_negative_definite, solve_linear
+from .peeling import BarkResult, bark
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,43 @@ def bmy_check(p_sq, n_sq, c2bar) -> bool:
     return Fraction(p_sq) / 3 <= Fraction(c2bar) - Fraction(n_sq) / 4
 
 
+@dataclass(frozen=True)
+class InvariantReport:
+    invariants: LogInvariants
+    boundary_square: Fraction
+    euler_bound: EulerBoundReport
+    bark: BarkResult                # its gram_square is N^2
+    p_sq: Fraction                  # P^2 = (K+D)^2 - N^2
+    noether_holds: bool
+    bmy_holds: bool
+
+
+def invariant_report(
+    model: SurfaceModel,
+    boundary: DivisorClass,
+    graph: DualGraph,
+) -> InvariantReport:
+    """Log invariants of S - D with every identity check on them.
+
+    The negative part N of K+D is the bark of the boundary graph,
+    empty or not, and P is the orthogonal remainder, so
+    P^2 = (K+D)^2 - N^2.
+    """
+    inv = log_chern(model, boundary, graph)
+    d_sq = model.self_intersection(boundary)
+    bk = bark(graph)
+    p_sq = inv.c1bar_sq - bk.gram_square
+    return InvariantReport(
+        invariants=inv,
+        boundary_square=d_sq,
+        euler_bound=euler_bound_check(inv, model.hodge),
+        bark=bk,
+        p_sq=p_sq,
+        noether_holds=noether_check(inv, d_sq),
+        bmy_holds=bmy_check(p_sq, bk.gram_square, inv.c2bar),
+    )
+
+
 def genus_bound(n: int, p_sq) -> Fraction:
     """(n+2)/(2 n^2) * P^2 + 1, the fiber genus cap for an n-section."""
     if not isinstance(n, int) or n < 1:
@@ -206,17 +244,6 @@ class TheoremCheck:
     boundary_h1_holds: Optional[bool]      # h1_log == 0 (None if not given)
     passed: bool
     note: str
-
-    def as_dict(self) -> dict:
-        return {
-            "applicable_branch": self.applicable_branch,
-            "window_holds": self.window_holds,
-            "boundary_case": self.boundary_case,
-            "boundary_b_holds": self.boundary_b_holds,
-            "boundary_h1_holds": self.boundary_h1_holds,
-            "passed": self.passed,
-            "note": self.note,
-        }
 
 
 _FORM_NOTE = (

@@ -2,6 +2,7 @@
 
 Exact rationals never pass through floats: integers serialize as JSON
 numbers, everything else as "p/q" in lowest terms with positive q.
+Result dataclasses serialize field by field through `to_jsonable`.
 Emission is canonical (sorted keys, two-space indent, trailing
 newline) so identical inputs give byte-identical outputs.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Any, Mapping, Optional, Sequence
@@ -75,6 +77,11 @@ def to_jsonable(obj) -> Any:
         return out
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
+    if is_dataclass(obj) and not isinstance(obj, type):
+        # a field serializes under its own name unless its metadata
+        # carries a "json" key
+        return {f.metadata.get("json", f.name):
+                to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, float):
         raise InputError("floating point values cannot be serialized")
     raise InputError(f"cannot serialize {type(obj).__name__}")

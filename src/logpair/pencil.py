@@ -10,7 +10,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -74,7 +74,7 @@ def is_big_hirzebruch(a: int, b: int, e: int, mults: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class FixedPart:
-    cls: DivisorClass
+    cls: DivisorClass = field(metadata={"json": "class"})
     pairing: Fraction        # (running adjoint) . cls at extraction, < 0
     dim_bound: Optional[Fraction]  # informational, not a gate
 
@@ -91,27 +91,6 @@ class PencilResult:
     g: int                       # arithmetic genus of the fiber
     k: int                       # boundary . fiber
     b: int                       # base curve genus; 0 for these models
-
-    def as_dict(self) -> dict:
-        return {"g": self.g, "k": self.k, "b": self.b}
-
-    def describe(self) -> dict:
-        return {
-            "adjoint": list(self.adjoint),
-            "big": self.big,
-            "big_margin": self.big_margin,
-            "fixed_parts": [
-                {"class": list(f.cls), "pairing": f.pairing,
-                 "dim_bound": f.dim_bound}
-                for f in self.fixed_parts
-            ],
-            "residual": list(self.residual),
-            "multiple": self.multiple,
-            "fiber": list(self.fiber),
-            "g": self.g,
-            "k": self.k,
-            "b": self.b,
-        }
 
 
 def _class_profile(model: SurfaceModel, c: DivisorClass):

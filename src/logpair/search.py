@@ -23,7 +23,6 @@ is then the audited feasibility gate.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -35,6 +34,10 @@ from .lattice import DivisorClass, SurfaceModel
 # a previously reported instance of the x=8, y=1 family, circulated as
 # satisfying all four inequalities; exact evaluation disagrees on (D)
 REFERENCE_INSTANCE = (10, 3, 8, 1)
+
+# most grid points one search may evaluate: five times the
+# 39,600-point grid g 8..40, x 5..12, y 0..5
+MAX_GRID_POINTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -251,43 +254,51 @@ def _rows_for_g(g: int, x_span: tuple[int, int],
     return rows
 
 
-def _worker_count(requested: Optional[int], jobs: int) -> int:
+def _check_threads(requested: Optional[int]) -> None:
+    """Validate a thread count.  The search runs on the calling thread
+    whatever the value, so an accepted count changes nothing."""
     if requested is None:
         env = os.environ.get("LOGPAIR_THREADS")
-        if env is not None:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise InputError("LOGPAIR_THREADS must be an integer")
-    if requested is None:
-        requested = os.cpu_count() or 1
+        if env is None:
+            return
+        try:
+            requested = int(env)
+        except ValueError:
+            raise InputError("LOGPAIR_THREADS must be an integer")
     if requested < 1:
         raise InputError("thread count must be >= 1")
-    return max(1, min(requested, jobs))
+
+
+def _grid_points(g_span: tuple[int, int], x_span: tuple[int, int],
+                 y_span: tuple[int, int]) -> int:
+    """Instances in a grid: sum over g of (g+1) |x| |y|, as 0 <= e <= g."""
+    (g_lo, g_hi), (x_lo, x_hi), (y_lo, y_hi) = g_span, x_span, y_span
+    per_e = (g_hi - g_lo + 1) * (g_lo + g_hi + 2) // 2
+    return per_e * (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
 
 
 def run_search(g_range, x_range, y_range,
                threads: Optional[int] = None) -> dict:
     """Exhaustive exact evaluation over the grid; deterministic output.
 
-    Work is chunked by g and merged in g order, so the table does not
-    depend on scheduling.  Rows carry per-inequality booleans plus the
-    exact values so every disagreement is auditable.
+    Points are evaluated in (g, e, x, y) order on the calling thread;
+    `threads` (or LOGPAIR_THREADS) is validated and otherwise ignored.
+    Grids of more than MAX_GRID_POINTS points are refused before any
+    evaluation.  Rows carry per-inequality booleans plus the exact
+    values so every disagreement is auditable.
     """
     g_lo, g_hi = _parse_span(g_range, "g")
     if g_lo < 2:
         raise InputError("g range must start at 2 or above")
     x_span = _parse_span(x_range, "x")
     y_span = _parse_span(y_range, "y")
-    gs = list(range(g_lo, g_hi + 1))
-    workers = _worker_count(threads, len(gs))
-    if workers == 1:
-        chunks = [_rows_for_g(g, x_span, y_span) for g in gs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda g: _rows_for_g(g, x_span, y_span), gs))
-    rows = [r for chunk in chunks for r in chunk]
+    _check_threads(threads)
+    points = _grid_points((g_lo, g_hi), x_span, y_span)
+    if points > MAX_GRID_POINTS:
+        raise InputError(
+            f"grid has {points} points; the limit is {MAX_GRID_POINTS}")
+    rows = [r for g in range(g_lo, g_hi + 1)
+            for r in _rows_for_g(g, x_span, y_span)]
     ref = evaluate_constraints(FamilyInstance(*REFERENCE_INSTANCE))
     out = {
         "grid": {"g": [g_lo, g_hi], "x": list(x_span), "y": list(y_span)},

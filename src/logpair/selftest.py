@@ -17,8 +17,8 @@ from typing import Callable, Optional
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import NotDecomposableError
 from .examples import degenerate_plane_config, run_ex2, sextic_config
-from .invariants import (bmy_check, genus_bound, log_chern,
-                         main_theorem_predicate, noether_check)
+from .invariants import (genus_bound, invariant_report,
+                         main_theorem_predicate)
 from .lattice import DivisorClass, SurfaceModel, blow_up_transform
 from .peeling import bark
 from .pencil import analyze_adjoint_system
@@ -74,21 +74,20 @@ def check_ex2_pencil() -> tuple[bool, str]:
     elapsed = time.perf_counter() - t0
     m = SurfaceModel.plane_blowup(8)
     p = report["pencil"]
-    c.equal(p["big_margin"], Fraction(1), "bigness margin")
-    c.expect(p["big"] is True, "adjoint class not reported big")
-    c.equal(len(p["fixed_parts"]), 1, "fixed part count")
-    if p["fixed_parts"]:
-        fp = p["fixed_parts"][0]
-        c.equal(DivisorClass(fp["class"]),
-                m.plane_class(2, [1] * 7), "fixed part class")
-        c.equal(fp["pairing"], Fraction(-1), "fixed part pairing")
-    residual = DivisorClass(p["residual"])
-    c.equal(residual, m.plane_class(1, [0] * 7 + [1]), "residual class")
-    c.equal(m.self_intersection(residual), Fraction(0), "residual square")
-    c.equal(p["multiple"], 1, "pencil multiple")
-    c.equal(p["g"], 0, "fiber genus")
-    c.equal(p["b"], 0, "base genus")
-    c.equal(p["k"], 4, "boundary meets fiber")
+    c.equal(p.big_margin, Fraction(1), "bigness margin")
+    c.expect(p.big is True, "adjoint class not reported big")
+    c.equal(len(p.fixed_parts), 1, "fixed part count")
+    if p.fixed_parts:
+        fp = p.fixed_parts[0]
+        c.equal(fp.cls, m.plane_class(2, [1] * 7), "fixed part class")
+        c.equal(fp.pairing, Fraction(-1), "fixed part pairing")
+    c.equal(p.residual, m.plane_class(1, [0] * 7 + [1]), "residual class")
+    c.equal(m.self_intersection(p.residual), Fraction(0),
+            "residual square")
+    c.equal(p.multiple, 1, "pencil multiple")
+    c.equal(p.g, 0, "fiber genus")
+    c.equal(p.b, 0, "base genus")
+    c.equal(p.k, 4, "boundary meets fiber")
     c.expect(elapsed < 1.0, f"runtime {elapsed:.3f}s exceeds 1s")
     c.note(f"margin 1, pairing -1, residual H-E8, g=0, b=0, k=4, "
            f"{elapsed:.3f}s")
@@ -104,8 +103,9 @@ def check_ex2_invariants() -> tuple[bool, str]:
     pa_graph = graph.arithmetic_genus()
     c.equal(pa_class, Fraction(2), "genus by adjunction")
     c.equal(pa_graph, 2, "genus from the dual graph")
-    inv = log_chern(model, boundary, graph)
-    d_sq = model.self_intersection(boundary)
+    rep = invariant_report(model, boundary, graph)
+    inv = rep.invariants
+    d_sq = rep.boundary_square
     c.equal(inv.c1bar_sq, Fraction(1), "c1bar_sq")
     c.equal(inv.c2bar, Fraction(5), "c2bar")
     c.equal(inv.l, 4, "edge multiplicity total")
@@ -114,13 +114,9 @@ def check_ex2_invariants() -> tuple[bool, str]:
     c.equal(d_sq, Fraction(4), "boundary square")
     lhs = inv.c1bar_sq + inv.c2bar + 6 * (inv.pa_D - 1) + d_sq + 2 * inv.l
     c.equal(lhs, Fraction(24), "identity left side")
-    c.expect(noether_check(inv, d_sq), "degree identity fails")
-    bk = bark(graph)
-    c.expect(not bk.coefficients, "bark should be empty here")
-    p_sq = (model.self_intersection(model.canonical_class() + boundary)
-            - bk.gram_square)
-    c.expect(bmy_check(p_sq, bk.gram_square, inv.c2bar),
-             "surface inequality fails")
+    c.expect(rep.noether_holds, "degree identity fails")
+    c.expect(not rep.bark.coefficients, "bark should be empty here")
+    c.expect(rep.bmy_holds, "surface inequality fails")
     c.note("p_a=2 both ways, 1+5+6+4+8=24=12*2, e_open=c2bar=5, "
            "inequality 1/3<=5 holds")
     return not c.problems, c.detail()
@@ -422,12 +418,5 @@ def run_criterion(number: int) -> CriterionResult:
 
 
 def run_all(only: Optional[list[int]] = None) -> list[CriterionResult]:
-    results = []
-    for num, name, fn in CRITERIA:
-        if only is not None and num not in only:
-            continue
-        t0 = time.perf_counter()
-        passed, detail = fn()
-        results.append(CriterionResult(num, name, passed, detail,
-                                       time.perf_counter() - t0))
-    return results
+    return [run_criterion(num) for num, _, _ in CRITERIA
+            if only is None or num in only]

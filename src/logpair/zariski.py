@@ -22,8 +22,8 @@ NEF_SCOPE = "relative to the supplied candidate set only"
 
 @dataclass
 class ZariskiDecomposition:
-    positive: DivisorClass
-    negative: DivisorClass
+    positive: DivisorClass = field(metadata={"json": "P"})
+    negative: DivisorClass = field(metadata={"json": "N"})
     support: list[int]
     coefficients: list[Fraction]
     rounds: int
@@ -98,7 +98,6 @@ class DecompositionCheck:
     positive_orthogonal_to_support: bool
     positive_nonnegative_on_candidates: bool
     positive_times_input_is_square: bool
-    details: dict = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -135,8 +134,4 @@ def verify_decomposition(
             model.intersect(z.positive, c) >= 0 for c in candidates),
         positive_times_input_is_square=(
             model.intersect(z.positive, x) == p_sq),
-        details={
-            "positive_square": p_sq,
-            "negative_square": model.self_intersection(z.negative),
-        },
     )

@@ -5,8 +5,11 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 from logpair.cli import main
+from logpair.examples import MAX_EX3_A
+from logpair.search import MAX_GRID_POINTS
 
 FIXTURES = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures")
 
@@ -246,3 +249,23 @@ def test_boolean_edge_mult_is_input_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "edge A-B: mult must be an integer" in err
+
+
+def test_oversized_search_grid_is_input_error(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", "ex4", "--g", "2:1000000000",
+                             "--x", "8:8", "--y", "1:1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert f"the limit is {MAX_GRID_POINTS}" in err
+
+
+def test_oversized_ex3_parameter_is_input_error(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "example", "run", "ex3",
+                             "--a", "1000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert f"a must be at most {MAX_EX3_A}" in err

@@ -8,6 +8,7 @@ from logpair import (FamilyInstance, InputError, NoPencilError,
                      analyze_adjoint_system, evaluate_constraints,
                      interval_report_x8_y1, reduced_bounds_x8_y1,
                      run_search)
+from logpair.search import MAX_GRID_POINTS, _grid_points
 
 
 def test_instance_validation():
@@ -166,6 +167,21 @@ def test_run_search_env_threads(monkeypatch):
     monkeypatch.setenv("LOGPAIR_THREADS", "0")
     with pytest.raises(InputError, match=">= 1"):
         run_search((8, 9), (8, 8), (1, 1))
+
+
+def test_grid_point_count_and_limit():
+    for g, x, y in [((2, 2), (8, 8), (1, 1)), ((8, 12), (5, 9), (0, 2)),
+                    ((8, 40), (5, 12), (0, 5))]:
+        brute = sum(1 for gv in range(g[0], g[1] + 1)
+                    for _ in range(gv + 1)
+                    for _ in range(x[0], x[1] + 1)
+                    for _ in range(y[0], y[1] + 1))
+        assert _grid_points(g, x, y) == brute
+    # the criterion-6 grid stays well inside the limit
+    assert _grid_points((8, 40), (5, 12), (0, 5)) == 39_600
+    assert MAX_GRID_POINTS >= 5 * 39_600
+    with pytest.raises(InputError, match="limit"):
+        run_search((2, 400), (5, 12), (0, 5))
 
 
 def test_run_search_range_validation():
