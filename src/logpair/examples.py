@@ -76,22 +76,22 @@ def degenerate_plane_config(a: int) -> tuple[
 def _base_report(model: SurfaceModel, boundary: DivisorClass,
                  graph: DualGraph,
                  candidates: list[DivisorClass]) -> dict:
-    inv = invariant_report(model, boundary, graph)
-    bk = inv.bark
+    rep = invariant_report(model, boundary, graph)
+    bk = rep.bark
     z = zariski_decompose(model, model.canonical_class() + boundary,
                           list(graph.class_map.values())
                           if graph.class_map else [])
     return {
         "model": model.describe(),
         "boundary": boundary,
-        "boundary_square": inv.boundary_square,
+        "boundary_square": rep.boundary_square,
         "arithmetic_genus": {
             "adjunction": int(model.arithmetic_genus(boundary)),
             "dual_graph": graph.arithmetic_genus(),
         },
-        "invariants": inv.invariants,
-        "noether_holds": inv.noether_holds,
-        "euler_bound": inv.euler_bound,
+        "invariants": rep.invariants,
+        "noether_holds": rep.noether_holds,
+        "euler_bound": rep.euler_bound,
         "bark": {
             "coefficients": bk.coefficients,
             "bark_square": bk.bark_square,
@@ -100,10 +100,10 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
             "bound_ok": bk.bound_ok,
         },
         "bmy": {
-            "p_sq": inv.p_sq,
+            "p_sq": rep.p_sq,
             "n_sq": bk.gram_square,
-            "c2bar": inv.invariants.c2bar,
-            "holds": inv.bmy_holds,
+            "c2bar": rep.invariants.c2bar,
+            "holds": rep.bmy_holds,
         },
         "zariski": {
             "P": z.positive,

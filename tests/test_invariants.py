@@ -6,7 +6,8 @@ import pytest
 
 from logpair import (DualGraph, Edge, InputError, SurfaceModel, Vertex,
                      bmy_check, euler_bound_check, genus_asymptotic_bound,
-                     genus_bound, log_chern, log_genus_rational,
+                     genus_bound, invariant_report, log_chern,
+                     log_genus_rational,
                      main_theorem_predicate, noether_check,
                      sharp_completion)
 from logpair.examples import sextic_config
@@ -71,6 +72,25 @@ def test_euler_bound_report_fields():
     assert rep.conclusion_holds
     # p_g = 0 branch: 5 <= pg_log + 1 = 3 fails
     assert rep.strong_conclusion_holds is False
+
+
+def test_invariant_report_subtracts_a_nonempty_bark():
+    # the line through three blown-up points is a (-2)-curve: a
+    # one-vertex rod with bark coefficient 1, so N^2 = -2, while
+    # K + D = -2H gives (K+D)^2 = 4
+    m = SurfaceModel.plane_blowup(3)
+    line = m.plane_class(1, [1, 1, 1])
+    graph = DualGraph([Vertex("L", 0, -2)], [], model=m,
+                      class_map={"L": line})
+    rep = invariant_report(m, line, graph)
+    assert rep.invariants.c1bar_sq == 4
+    assert rep.bark.gram_square == -2
+    assert rep.p_sq == 6
+    assert rep.boundary_square == -2
+    assert rep.invariants.c2bar == 4
+    assert rep.bmy_holds is bmy_check(6, -2, 4) is True
+    assert rep.noether_holds is noether_check(rep.invariants, -2)
+    assert rep.euler_bound == euler_bound_check(rep.invariants, m.hodge)
 
 
 def test_bmy_inequality():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from logpair import DivisorClass, InputError, SurfaceModel
+from logpair import (NEF_SCOPE, DivisorClass, FixedPart, InputError,
+                     SurfaceModel, ZariskiDecomposition)
 from logpair.jsonio import (dumps, encode_rational, load_classes,
                             load_graph, load_model, parse_class,
                             parse_class_arg, parse_graph, parse_model,
@@ -65,6 +66,20 @@ def test_divisor_class_serialization():
             assert to_jsonable(c) == [encode_rational(x) for x in xs]
             text = ",".join(str(encode_rational(x)) for x in xs)
             assert parse_class_arg(text) == c
+
+
+def test_dataclass_serialization():
+    # fields serialize under their names unless metadata renames them;
+    # nested dataclasses, classes and rationals take their own branches
+    m = SurfaceModel.plane_blowup(1)
+    z = ZariskiDecomposition(m.divisor([1, 0]), m.divisor([0, 2]), [0],
+                             [Fraction(2, 3)], 1)
+    assert to_jsonable(z) == {
+        "P": [1, 0], "N": [0, 2], "support": [0],
+        "coefficients": ["2/3"], "rounds": 1, "nef_scope": NEF_SCOPE}
+    fp = FixedPart(DivisorClass([1, Fraction(-1, 2)]), Fraction(-1), None)
+    assert to_jsonable([fp]) == [
+        {"class": [1, "-1/2"], "pairing": -1, "dim_bound": None}]
 
 
 def test_parse_class_integer_spellings():
