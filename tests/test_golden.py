@@ -41,9 +41,15 @@ CASES = {
     "pencil_sextic": ["pencil", f"{FIX}/sextic_model.json",
                       "--divisor", "6,-2,-2,-2,-2,-2,-2,-2,-2",
                       "--candidates", f"{FIX}/sextic_candidates.json"],
+    # the ex4 instance g=2, e=0, x=8, y=1 on hirzebruch(0, 4g+4)
+    "pencil_ruled_g2": ["pencil", f"{FIX}/ruled_g2_model.json",
+                        "--divisor", ",".join(["8", "1"] + ["-2"] * 12),
+                        "--candidates", f"{FIX}/ruled_g2_candidates.json"],
     "example_ex2": ["example", "run", "ex2"],
     "example_ex3_a2": ["example", "run", "ex3", "--a", "2"],
     "example_ex3_a3": ["example", "run", "ex3", "--a", "3"],
+    "example_ex3_a4": ["example", "run", "ex3", "--a", "4"],
+    "example_ex3_a5": ["example", "run", "ex3", "--a", "5"],
     "example_ex3_a6": ["example", "run", "ex3", "--a", "6"],
     "example_ex3_a40": ["example", "run", "ex3", "--a", "40"],
     "search_ex4_reference": ["search", "ex4", "--g", "10:10",
