@@ -102,7 +102,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--g", required=True, metavar="LO:HI")
     sp.add_argument("--x", required=True, metavar="LO:HI")
     sp.add_argument("--y", required=True, metavar="LO:HI")
-    sp.add_argument("--threads", type=int, default=None)
     common(sp)
 
     sp = sub.add_parser("selftest", help="run the acceptance checks")
@@ -253,7 +252,7 @@ def _report(args) -> tuple[object, list[str]]:
 
     if args.command == "search":
         return run_search(_span(args.g, "g"), _span(args.x, "x"),
-                          _span(args.y, "y"), threads=args.threads), []
+                          _span(args.y, "y")), []
 
     raise InternalError(f"unhandled command {args.command!r}")
 

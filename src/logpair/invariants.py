@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .dualgraph import DualGraph
 from .errors import InputError, InternalError
 from .lattice import DivisorClass, HodgeData, SurfaceModel
-from .linalg import is_negative_definite, solve_linear
+from .linalg import solve_linear
 from .peeling import BarkResult, bark
 
 
@@ -218,10 +218,10 @@ def sharp_completion(
         return CorrectionResult((), x, model.self_intersection(x),
                                 model.self_intersection(x))
     gram = [[model.intersect(a, b) for b in comps] for a in comps]
-    if not is_negative_definite(gram):
-        raise InputError("component Gram matrix is not negative definite")
     rhs = [-model.intersect(x, c) for c in comps]
     coeffs = solve_linear(gram, rhs)
+    if coeffs is None:
+        raise InputError("component Gram matrix is not negative definite")
     corrected = x
     for a, c in zip(coeffs, comps):
         corrected = corrected + a * c

@@ -19,9 +19,8 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import RATIONAL_RE, DivisorClass, SurfaceModel, parse_rational
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 
 
@@ -29,21 +28,6 @@ def encode_rational(v: Fraction):
     if v.denominator == 1:
         return int(v)
     return f"{v.numerator}/{v.denominator}"
-
-
-def parse_rational(v) -> Fraction:
-    if isinstance(v, bool):
-        raise InputError(f"expected a rational, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        if not _RATIONAL_RE.match(v):
-            raise InputError(f"malformed rational {v!r}; use p or p/q")
-        return Fraction(v)
-    if isinstance(v, float):
-        raise InputError(
-            f"floating point value {v!r} rejected; use p/q strings")
-    raise InputError(f"expected a rational, got {type(v).__name__}")
 
 
 def _encode_class(c: DivisorClass) -> list:
@@ -286,9 +270,10 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
             widths[i] = max(widths[i], len(v))
 
     def is_num(s: str) -> bool:
-        return bool(_RATIONAL_RE.match(s))
+        return bool(RATIONAL_RE.match(s))
 
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
+    lines = ["  ".join(h.ljust(widths[i])
+                       for i, h in enumerate(headers)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
     for row in grid:
         out = []

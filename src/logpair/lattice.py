@@ -17,6 +17,7 @@ numerators over one common denominator.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -33,10 +34,29 @@ class ModelKind(Enum):
     CUSTOM = "custom"
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise InputError("floating point coefficients are not accepted")
-    return Fraction(x)
+RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+def parse_rational(v) -> Fraction:
+    """An exact rational from an int, a Fraction or a "p" / "p/q" string.
+
+    Floats, booleans and every other spelling (such as "1.5") are
+    rejected with InputError, so no inexact value enters a class.
+    """
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, bool):
+        raise InputError(f"expected a rational, got {v!r}")
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, str):
+        if not RATIONAL_RE.match(v):
+            raise InputError(f"malformed rational {v!r}; use p or p/q")
+        return Fraction(v)
+    if isinstance(v, float):
+        raise InputError(
+            f"floating point value {v!r} rejected; use p/q strings")
+    raise InputError(f"expected a rational, got {type(v).__name__}")
 
 
 class DivisorClass:
@@ -55,7 +75,7 @@ class DivisorClass:
         if all(type(c) is int for c in vals):
             nums, den = vals, 1
         else:
-            fracs = [_frac(c) for c in vals]
+            fracs = [parse_rational(c) for c in vals]
             den = lcm(*(f.denominator for f in fracs))
             nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
         object.__setattr__(self, "nums", nums)
@@ -121,7 +141,7 @@ class DivisorClass:
         return DivisorClass._make(tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, scalar):
-        s = scalar if type(scalar) is int else _frac(scalar)
+        s = scalar if type(scalar) is int else parse_rational(scalar)
         return DivisorClass._make(
             tuple(n * s.numerator for n in self.nums), self.den * s.denominator)
 
@@ -179,7 +199,7 @@ class SurfaceModel:
 
     @staticmethod
     def custom(gram: Sequence[Sequence]) -> "SurfaceModel":
-        rows = tuple(tuple(_frac(x) for x in row) for row in gram)
+        rows = tuple(tuple(parse_rational(x) for x in row) for row in gram)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -367,7 +387,7 @@ def blow_up_transform(
     for c, m in zip(classes, mults):
         if len(c) != model.basis_size:
             raise InputError("dimension mismatch")
-        m = _frac(m)
+        m = parse_rational(m)
         out.append(DivisorClass._make(
             tuple(x * m.denominator for x in c.nums)
             + (-m.numerator * c.den,), c.den * m.denominator))

@@ -19,14 +19,7 @@ from .lattice import (
     SurfaceModel,
     contract_exceptional,
 )
-from .linalg import is_negative_definite, solve_linear
-
-
-def orthogonal_correction(gram, rhs) -> list[Fraction]:
-    """Solve gram * a = rhs for a negative-definite Gram matrix."""
-    if not is_negative_definite(gram):
-        raise InputError("Gram matrix is not negative definite")
-    return solve_linear(gram, [Fraction(x) for x in rhs])
+from .linalg import solve_linear
 
 
 @dataclass
@@ -67,7 +60,11 @@ def bark(g: DualGraph) -> BarkResult:
             continue
         ids = list(seg.vertices)
         rhs = _segment_rhs(g, ids)
-        coeffs = orthogonal_correction(g.gram(ids), rhs)
+        coeffs = solve_linear(g.gram(ids), rhs)
+        if coeffs is None:
+            raise InternalError(
+                f"admissible {seg.kind} has a Gram matrix that is not "
+                "negative definite")
         bad = [x for x in coeffs if not 0 < x <= 1]
         if bad:
             if seg.kind == "fork":

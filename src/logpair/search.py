@@ -22,7 +22,6 @@ is then the audited feasibility gate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -254,21 +253,6 @@ def _rows_for_g(g: int, x_span: tuple[int, int],
     return rows
 
 
-def _check_threads(requested: Optional[int]) -> None:
-    """Validate a thread count.  The search runs on the calling thread
-    whatever the value, so an accepted count changes nothing."""
-    if requested is None:
-        env = os.environ.get("LOGPAIR_THREADS")
-        if env is None:
-            return
-        try:
-            requested = int(env)
-        except ValueError:
-            raise InputError("LOGPAIR_THREADS must be an integer")
-    if requested < 1:
-        raise InputError("thread count must be >= 1")
-
-
 def _grid_points(g_span: tuple[int, int], x_span: tuple[int, int],
                  y_span: tuple[int, int]) -> int:
     """Instances in a grid: sum over g of (g+1) |x| |y|, as 0 <= e <= g."""
@@ -277,12 +261,10 @@ def _grid_points(g_span: tuple[int, int], x_span: tuple[int, int],
     return per_e * (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
 
 
-def run_search(g_range, x_range, y_range,
-               threads: Optional[int] = None) -> dict:
+def run_search(g_range, x_range, y_range) -> dict:
     """Exhaustive exact evaluation over the grid; deterministic output.
 
-    Points are evaluated in (g, e, x, y) order on the calling thread;
-    `threads` (or LOGPAIR_THREADS) is validated and otherwise ignored.
+    Points are evaluated in (g, e, x, y) order on the calling thread.
     Grids of more than MAX_GRID_POINTS points are refused before any
     evaluation.  Rows carry per-inequality booleans plus the exact
     values so every disagreement is auditable.
@@ -292,7 +274,6 @@ def run_search(g_range, x_range, y_range,
         raise InputError("g range must start at 2 or above")
     x_span = _parse_span(x_range, "x")
     y_span = _parse_span(y_range, "y")
-    _check_threads(threads)
     points = _grid_points((g_lo, g_hi), x_span, y_span)
     if points > MAX_GRID_POINTS:
         raise InputError(

@@ -61,10 +61,10 @@ def zariski_decompose(
         if active:
             gram = [[model.intersect(cands[i], cands[j]) for j in active]
                     for i in active]
-            if not is_negative_definite(gram):
+            coeffs = solve_linear(gram, [pairings[i] for i in active])
+            if coeffs is None:
                 raise NotDecomposableError(
                     "support Gram matrix is not negative definite")
-            coeffs = solve_linear(gram, [pairings[i] for i in active])
             if any(a < 0 for a in coeffs):
                 raise NotDecomposableError(
                     "negative coefficient in the candidate combination")

@@ -186,3 +186,16 @@ def test_render_table_alignment():
     assert "yes" in lines[4]
     # numeric column is right-aligned
     assert lines[3].rstrip().endswith("10")
+
+
+def test_render_table_lines_have_no_trailing_space():
+    # values wider than their header used to pad the header line
+    for headers, rows in [
+            (["field", "value"], [["adjoint", "[6, -1, -1, -1]"],
+                                  ["g", 2], ["big", False]]),
+            (["g", "note", "ok"], [[10, "a long note", True],
+                                   [Fraction(-7, 2), "", False]])]:
+        out = render_table(headers, rows)
+        assert out.endswith("\n")
+        for line in out.splitlines():
+            assert not line.endswith(" "), repr(line)

@@ -59,6 +59,11 @@ def test_floats_rejected_everywhere():
     half = DivisorClass([1, Fraction(1, 2)])
     plane, ruled = SurfaceModel.plane_blowup(2), SurfaceModel.hirzebruch(1, 1)
     for bad in (lambda: DivisorClass([Fraction(1, 2), 2.0]),
+                lambda: DivisorClass(["1.5"]),
+                lambda: DivisorClass([True]),
+                lambda: DivisorClass([1, False]),
+                lambda: half * True,
+                lambda: SurfaceModel.custom([["-1.5"]]),
                 lambda: half * 0.5,
                 lambda: 0.5 * half,
                 lambda: plane.plane_class(1.0, []),

@@ -151,24 +151,6 @@ def test_run_search_single_cell():
     assert ref["discrepancy"]
 
 
-def test_run_search_thread_count_stability():
-    a = run_search((8, 14), (5, 9), (0, 2), threads=1)
-    b = run_search((8, 14), (5, 9), (0, 2), threads=4)
-    assert a == b
-
-
-def test_run_search_env_threads(monkeypatch):
-    monkeypatch.setenv("LOGPAIR_THREADS", "2")
-    out = run_search((8, 9), (8, 8), (1, 1))
-    assert out["grid"]["g"] == [8, 9]
-    monkeypatch.setenv("LOGPAIR_THREADS", "zero")
-    with pytest.raises(InputError, match="LOGPAIR_THREADS"):
-        run_search((8, 9), (8, 8), (1, 1))
-    monkeypatch.setenv("LOGPAIR_THREADS", "0")
-    with pytest.raises(InputError, match=">= 1"):
-        run_search((8, 9), (8, 8), (1, 1))
-
-
 def test_grid_point_count_and_limit():
     for g, x, y in [((2, 2), (8, 8), (1, 1)), ((8, 12), (5, 9), (0, 2)),
                     ((8, 40), (5, 12), (0, 5))]:
