@@ -21,7 +21,7 @@ from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
 from .lattice import RATIONAL_RE, DivisorClass, SurfaceModel, parse_rational
 
-_INTEGER_RE = re.compile(r"^[+-]?\d+$")
+_INTEGER_RE = re.compile(r"[+-]?\d+")
 
 
 def encode_rational(v: Fraction):
@@ -94,7 +94,7 @@ def _parse_coefficient(v):
     class constructor on its all-integer path."""
     if type(v) is int:
         return v
-    if isinstance(v, str) and _INTEGER_RE.match(v):
+    if isinstance(v, str) and _INTEGER_RE.fullmatch(v):
         return int(v)
     return parse_rational(v)
 
@@ -270,7 +270,7 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
             widths[i] = max(widths[i], len(v))
 
     def is_num(s: str) -> bool:
-        return bool(RATIONAL_RE.match(s))
+        return bool(RATIONAL_RE.fullmatch(s))
 
     lines = ["  ".join(h.ljust(widths[i])
                        for i, h in enumerate(headers)).rstrip()]

@@ -34,7 +34,7 @@ class ModelKind(Enum):
     CUSTOM = "custom"
 
 
-RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 
 def parse_rational(v) -> Fraction:
@@ -50,7 +50,7 @@ def parse_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        if not RATIONAL_RE.match(v):
+        if not RATIONAL_RE.fullmatch(v):
             raise InputError(f"malformed rational {v!r}; use p or p/q")
         return Fraction(v)
     if isinstance(v, float):

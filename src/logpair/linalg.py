@@ -3,7 +3,7 @@
 Every matrix solved here is the Gram matrix of a bark segment, a Zariski
 support or a set of components to correct against, and each of these
 must be negative definite.  One forward elimination without row
-exchanges answers both questions at once: its pivots are the ratios of
+exchanges both tests that and solves: its pivots are the ratios of
 consecutive leading principal minors, so it runs to completion with
 every pivot negative exactly when the matrix is negative definite, and
 it stops at the first pivot that is not.  `is_negative_definite` asks

@@ -36,6 +36,11 @@ def test_rational_rejects_junk():
         parse_rational(True)
     with pytest.raises(InputError):
         parse_rational("a/b")
+    for bad in ("1.5", "3\n", "1/2\n"):
+        with pytest.raises(InputError):
+            parse_rational(bad)
+        with pytest.raises(InputError):
+            parse_class([bad, 0])
 
 
 def test_dumps_canonical_form():
@@ -189,7 +194,7 @@ def test_render_table_alignment():
 
 
 def test_render_table_lines_have_no_trailing_space():
-    # values wider than their header used to pad the header line
+    # a value wider than its header must not pad the header line
     for headers, rows in [
             (["field", "value"], [["adjoint", "[6, -1, -1, -1]"],
                                   ["g", 2], ["big", False]]),

@@ -60,6 +60,7 @@ def test_floats_rejected_everywhere():
     plane, ruled = SurfaceModel.plane_blowup(2), SurfaceModel.hirzebruch(1, 1)
     for bad in (lambda: DivisorClass([Fraction(1, 2), 2.0]),
                 lambda: DivisorClass(["1.5"]),
+                lambda: DivisorClass(["1/2\n"]),
                 lambda: DivisorClass([True]),
                 lambda: DivisorClass([1, False]),
                 lambda: half * True,
