@@ -2,7 +2,9 @@
 
 Runs every numbered check from the selftest harness, one test per
 criterion, and prints the same pass/fail line the command-line
-`selftest` subcommand emits.  All arithmetic is exact, so "tolerance"
+`selftest` subcommand emits.  The full `selftest` output, numbering
+and line format included, is pinned by tests/golden/selftest.txt
+(test_golden.py).  All arithmetic is exact, so "tolerance"
 is equality of rationals throughout.
 
 Three statements that circulate alongside these configurations do not
@@ -23,7 +25,7 @@ import pytest
 
 from logpair.dualgraph import DualGraph, Edge, Vertex
 from logpair.peeling import bark
-from logpair.selftest import CRITERIA, run_all, run_criterion
+from logpair.selftest import CRITERIA, run_criterion
 
 NUMBERS = [number for number, _, _ in CRITERIA]
 NAMES = {number: name for number, name, _ in CRITERIA}
@@ -36,14 +38,6 @@ def test_criterion(number):
     result = run_criterion(number)
     print(result.line())
     assert result.passed, result.line()
-
-
-def test_every_criterion_is_covered():
-    assert NUMBERS == list(range(1, 9))
-    results = run_all()
-    assert [r.number for r in results] == NUMBERS
-    assert all(r.line().startswith(f"criterion {r.number} [")
-               for r in results)
 
 
 @pytest.mark.xfail(

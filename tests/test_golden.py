@@ -3,7 +3,9 @@
 Each case is one command line, checked in both output formats: stdout
 must equal tests/golden/<case>.json and tests/golden/<case>.table.txt
 byte for byte.  The criterion-6 grid is large, so only the SHA-256 of
-its JSON output is stored (tests/golden/<case>.json.sha256).
+its JSON output is stored (tests/golden/<case>.json.sha256).  The
+`selftest` stdout is stored in tests/golden/selftest.txt with every
+timing masked, since only the timings vary from run to run.
 
 After a deliberate output change, regenerate every file with
 
@@ -14,6 +16,7 @@ import hashlib
 import io
 import os
 import pathlib
+import re
 import sys
 from contextlib import redirect_stdout
 
@@ -28,6 +31,9 @@ FIX = "fixtures"
 CASES = {
     "peel_d4_fork": ["peel", f"{FIX}/d4_fork.json"],
     "peel_sextic": ["peel", f"{FIX}/sextic_graph.json"],
+    # a negative definite star whose bark has a zero hub coefficient
+    "peel_fork_not_log_terminal": ["peel",
+                                   f"{FIX}/fork_not_log_terminal.json"],
     "zariski_one_point": ["zariski", f"{FIX}/one_point_model.json",
                           "--class", "1,2", "--candidates",
                           f"{FIX}/one_point_candidates.json"],
@@ -64,6 +70,8 @@ HASHED = {
                               "--x", "5:12", "--y", "0:5"],
 }
 
+TIMING = re.compile(r"\d+\.\d{3}s")
+
 
 def _stdout(argv: list) -> bytes:
     buf = io.StringIO()
@@ -71,6 +79,10 @@ def _stdout(argv: list) -> bytes:
         code = main(argv)
     assert code == 0, f"exit {code} for {argv}"
     return buf.getvalue().encode("utf-8")
+
+
+def _selftest_masked() -> bytes:
+    return TIMING.sub("#.###s", _stdout(["selftest"]).decode()).encode()
 
 
 def _expected():
@@ -97,6 +109,11 @@ def test_golden_digest(name):
     assert hashlib.sha256(_stdout(HASHED[name])).hexdigest() == want
 
 
+def test_golden_selftest():
+    # the criteria numbered 1..8, each line in the "criterion N [pass]" form
+    assert _selftest_masked() == (GOLDEN / "selftest.txt").read_bytes()
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for filename, argv in _expected():
@@ -104,6 +121,7 @@ def regenerate() -> None:
     for name, argv in HASHED.items():
         digest = hashlib.sha256(_stdout(argv)).hexdigest()
         (GOLDEN / f"{name}.json.sha256").write_text(digest + "\n")
+    (GOLDEN / "selftest.txt").write_bytes(_selftest_masked())
 
 
 if __name__ == "__main__":
