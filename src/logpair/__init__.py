@@ -20,8 +20,7 @@ from .lattice import (DivisorClass, HodgeData, ModelKind, SurfaceModel,
 from .dualgraph import (DualGraph, Edge, Segment, SegmentReport, Vertex,
                         classify_segments)
 from .peeling import (BarkResult, MinimalizationResult,
-                      almost_minimalize, bark, bark_square_bound_check,
-                      negative_curve_check, sharp_boundary_class,
+                      almost_minimalize, bark, sharp_boundary_class,
                       sharp_orthogonality_check)
 from .zariski import (NEF_SCOPE, DecompositionCheck,
                       ZariskiDecomposition, verify_decomposition,
@@ -53,16 +52,15 @@ __all__ = [
     "NoPencilError", "NotDecomposableError", "PencilResult", "Segment",
     "SegmentReport", "SurfaceModel", "TheoremCheck", "Vertex",
     "ZariskiDecomposition", "almost_minimalize",
-    "analyze_adjoint_system", "bark", "bark_square_bound_check",
-    "big_margin_hirzebruch", "big_margin_p2", "blow_up_transform",
-    "bmy_check", "classify_segments", "contract_exceptional",
+    "analyze_adjoint_system", "bark", "big_margin_hirzebruch",
+    "big_margin_p2", "blow_up_transform", "bmy_check",
+    "classify_segments", "contract_exceptional",
     "dim_lower_bound_hirzebruch", "dim_lower_bound_p2",
     "euler_bound_check", "evaluate_constraints",
     "genus_asymptotic_bound", "genus_bound", "interval_report_x8_y1",
     "invariant_report", "is_big_hirzebruch", "is_big_p2", "log_chern",
-    "log_genus_rational", "main_theorem_predicate",
-    "negative_curve_check", "noether_check", "reduced_bounds_x8_y1",
-    "run_ex2", "run_ex3", "run_example", "run_search",
+    "log_genus_rational", "main_theorem_predicate", "noether_check",
+    "reduced_bounds_x8_y1", "run_ex2", "run_ex3", "run_example", "run_search",
     "sharp_boundary_class", "sharp_completion",
     "sharp_orthogonality_check", "verify_decomposition",
     "zariski_decompose", "__version__",

@@ -6,6 +6,13 @@ classifier carves the admissible rational part of the graph into rods
 (chain components), maximal twigs (chains hanging off a branch vertex)
 and forks (three-branch star components), which is exactly the support
 the peeling step later works on.
+
+Admissibility is decided here, once, with the bark solve itself: each
+candidate segment's Gram system Gram * a = -2 + beta is solved, a
+`None` answer is the certificate that the Gram matrix is not negative
+definite, and the solution rides on the segment as its bark
+`coefficients`.  A fork is kept only when every coefficient lies in
+(0, 1].
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 from .lattice import DivisorClass, SurfaceModel
-from .linalg import is_negative_definite
+from .linalg import solve_linear
 
 __all__ = [
     "Vertex",
@@ -176,14 +183,6 @@ class DualGraph:
                 out[i][j] = out[j][i] = Fraction(m)
         return out
 
-    def total_class(self) -> DivisorClass:
-        if self.class_map is None:
-            raise InputError("graph has no class_map")
-        total = self.model.zero()
-        for v in self.vertices:
-            total = total + self.class_map[v.id]
-        return total
-
 
 # -- segment classification -------------------------------------------------
 
@@ -197,10 +196,8 @@ class Segment:
     branches: tuple[tuple[str, ...], ...] = ()  # fork only, tip first
     admissible: bool = True
     reason: Optional[str] = None
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
+    # bark coefficients in vertex order; () on an excluded segment
+    coefficients: tuple[Fraction, ...] = ()
 
 
 @dataclass
@@ -257,17 +254,29 @@ def _chain_eligible(g: DualGraph, vid: str) -> bool:
     return all(m == 1 for m in g._adj[vid].values())
 
 
-def _admissibility(g: DualGraph, ids: Sequence[str]) -> Optional[str]:
-    """Reason the vertex set is inadmissible, or None if it is fine."""
+def bark_rhs(g: DualGraph, ids: Sequence[str]) -> list[Fraction]:
+    """Right-hand side -2 + beta(C_j) of the bark system on these vertices."""
+    return [Fraction(-2 + g.branching_number(v)) for v in ids]
+
+
+def _admissibility(
+    g: DualGraph, ids: Sequence[str],
+) -> tuple[Optional[str], tuple[Fraction, ...]]:
+    """(reason the vertex set is inadmissible, ()) or (None, bark coeffs).
+
+    The bark solve is the negative-definiteness certificate: `solve_linear`
+    answers None exactly when the Gram matrix is not negative definite.
+    """
     for vid in ids:
         v = g.vertex(vid)
         if v.genus != 0:
-            return f"{vid} is not rational"
+            return f"{vid} is not rational", ()
         if v.self_int == -1:
-            return f"{vid} is a (-1) component"
-    if not is_negative_definite(g.gram(ids)):
-        return "Gram matrix is not negative definite"
-    return None
+            return f"{vid} is a (-1) component", ()
+    coeffs = solve_linear(g.gram(ids), bark_rhs(g, ids))
+    if coeffs is None:
+        return "Gram matrix is not negative definite", ()
+    return None, tuple(coeffs)
 
 
 def _path_order(g: DualGraph, comp: list[str]) -> Optional[list[str]]:
@@ -309,9 +318,10 @@ def _walk_from_tip(g: DualGraph, tip: str) -> Segment:
                            reason=f"edge {cur}-{nxt} has multiplicity "
                                   f"{g._adj[cur][nxt]}")
         if g.branching_number(nxt) >= 3:
-            reason = _admissibility(g, path)
+            reason, coeffs = _admissibility(g, path)
             return Segment("twig", tuple(path), attach=nxt,
-                           admissible=reason is None, reason=reason)
+                           admissible=reason is None, reason=reason,
+                           coefficients=coeffs)
         if _chain_eligible(g, nxt) and g.branching_number(nxt) == 2:
             prev, path = cur, path + [nxt]
             continue
@@ -334,10 +344,11 @@ def classify_segments(g: DualGraph) -> SegmentReport:
         if path is not None:
             if all(g._adj[v][w] == 1
                    for v, w in zip(path, path[1:])):
-                reason = _admissibility(g, path)
+                reason, coeffs = _admissibility(g, path)
                 report.segments.append(
                     Segment("rod", tuple(path),
-                            admissible=reason is None, reason=reason))
+                            admissible=reason is None, reason=reason,
+                            coefficients=coeffs))
                 continue
             # path-shaped but with a multiple edge: fall through and let
             # the tip walks report why nothing survives
@@ -360,17 +371,21 @@ def classify_segments(g: DualGraph) -> SegmentReport:
                     prev = branch[-1]
                     branch.append(nxts[0])
                 branches.append(tuple(reversed(branch)))  # tip first
-            reason = _admissibility(g, comp)
-            if reason is None:
-                report.segments.append(
-                    Segment("fork", tuple(comp), center=center,
-                            branches=tuple(branches)))
-                continue
+            reason, coeffs = _admissibility(g, comp)
+            bad = [a for a in coeffs if not 0 < a <= 1]
+            if bad:
+                # negative definiteness alone does not make a star the
+                # resolution graph of a log terminal point; the coefficient
+                # range is the exact certificate
+                reason = f"bark coefficient {bad[0]} outside (0, 1]"
+                coeffs = ()
             report.segments.append(
                 Segment("fork", tuple(comp), center=center,
-                        branches=tuple(branches),
-                        admissible=False, reason=reason))
-            # an inadmissible star still offers its branches as twigs
+                        branches=tuple(branches), admissible=reason is None,
+                        reason=reason, coefficients=coeffs))
+            if reason is None or bad:
+                continue  # a star demoted by its coefficients offers no twigs
+            # any other inadmissible star still offers its branches as twigs
         for tip in comp:
             if g.branching_number(tip) == 1:
                 report.segments.append(_walk_from_tip(g, tip))

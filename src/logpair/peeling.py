@@ -3,23 +3,26 @@
 The bark of a segment is the fractional combination Bk = sum(a_i C_i)
 solving sum_i a_i (C_i . C_j) = -2 + beta(C_j) for every segment vertex
 C_j; subtracting it from the boundary produces the sharp boundary D#
-with (K + D#) orthogonal to every bark-support component.
+with (K + D#) orthogonal to every bark-support component.  The system
+is solved once per segment, by `dualgraph.classify_segments`, whose
+admissible segments carry their coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .dualgraph import DualGraph, Segment, SegmentReport, classify_segments
+from .dualgraph import DualGraph, SegmentReport, bark_rhs, classify_segments
 from .errors import InputError, InternalError
 from .lattice import (
     DivisorClass,
     SurfaceModel,
     contract_exceptional,
 )
-from .linalg import solve_linear
+# bench/test_bench.py reads logpair.peeling.solve_linear; keep the binding
+from .linalg import solve_linear  # noqa: F401
 
 
 @dataclass
@@ -32,14 +35,6 @@ class BarkResult:
     bound_ok: bool
     report: SegmentReport
 
-    @property
-    def support(self) -> list[str]:
-        return [v for v, a in self.coefficients.items() if a != 0]
-
-
-def _segment_rhs(g: DualGraph, ids: Sequence[str]) -> list[Fraction]:
-    return [Fraction(-2 + g.branching_number(v)) for v in ids]
-
 
 def bark(g: DualGraph) -> BarkResult:
     """Compute the total bark of the graph's admissible segments.
@@ -49,44 +44,21 @@ def bark(g: DualGraph) -> BarkResult:
     literal value of the quadratic form on the same coefficients.  The two
     differ only on single-vertex rods, where beta is 0 rather than 1.
     """
-    base = classify_segments(g)
-    segments: list[Segment] = []
+    report = classify_segments(g)
     coefficients: dict[str, Fraction] = {}
     bark_square = Fraction(0)
     gram_square = Fraction(0)
-    for seg in base.segments:
-        if not seg.admissible:
-            segments.append(seg)
-            continue
-        ids = list(seg.vertices)
-        rhs = _segment_rhs(g, ids)
-        coeffs = solve_linear(g.gram(ids), rhs)
-        if coeffs is None:
-            raise InternalError(
-                f"admissible {seg.kind} has a Gram matrix that is not "
-                "negative definite")
-        bad = [x for x in coeffs if not 0 < x <= 1]
+    for seg in report.admissible_segments:
+        bad = [a for a in seg.coefficients if not 0 < a <= 1]
         if bad:
-            if seg.kind == "fork":
-                # negative definiteness alone does not make a star the
-                # resolution graph of a log terminal point; the coefficient
-                # range is the exact certificate, so demote the segment
-                segments.append(Segment(
-                    seg.kind, seg.vertices, seg.attach, seg.center,
-                    seg.branches, admissible=False,
-                    reason=f"bark coefficient {bad[0]} outside (0, 1]"))
-                continue
             raise InternalError(
                 f"bark coefficient {bad[0]} outside (0, 1] on an admissible "
                 f"{seg.kind}")
-        segments.append(seg)
-        for vid, a in zip(ids, coeffs):
+        for vid, a in zip(seg.vertices, seg.coefficients):
+            beta = g.branching_number(vid)
             coefficients[vid] = a
-        gram_square += sum(a * r for a, r in zip(coeffs, rhs))
-        bark_square += sum(
-            a * (-2 + max(g.branching_number(vid), 1))
-            for vid, a in zip(ids, coeffs))
-    report = SegmentReport(segments)
+            gram_square += a * (-2 + beta)
+            bark_square += a * (-2 + max(beta, 1))
     tips = len(report.tips)
     sharp = {
         v.id: Fraction(1) - coefficients.get(v.id, Fraction(0))
@@ -101,11 +73,6 @@ def bark(g: DualGraph) -> BarkResult:
         bound_ok=bark_square >= -tips,
         report=report,
     )
-
-
-def bark_square_bound_check(result: BarkResult) -> bool:
-    """Bk^2 >= -(number of tips of the bark support)."""
-    return result.bark_square >= -result.tips_count
 
 
 def sharp_boundary_class(g: DualGraph, result: BarkResult) -> DivisorClass:
@@ -127,7 +94,7 @@ def sharp_orthogonality_check(g: DualGraph, result: BarkResult) -> bool:
     for seg in result.report.admissible_segments:
         ids = list(seg.vertices)
         gram = g.gram(ids)
-        rhs = _segment_rhs(g, ids)
+        rhs = bark_rhs(g, ids)
         coeffs = [result.coefficients[v] for v in ids]
         for j in range(len(ids)):
             lhs = sum(coeffs[i] * gram[i][j] for i in range(len(ids)))
@@ -138,24 +105,6 @@ def sharp_orthogonality_check(g: DualGraph, result: BarkResult) -> bool:
         for vid in result.coefficients:
             if g.model.intersect(adjoint, g.class_map[vid]) != 0:
                 return False
-    return True
-
-
-def negative_curve_check(
-    model: SurfaceModel,
-    class_map: dict[str, DivisorClass],
-    candidate: DivisorClass,
-) -> bool:
-    """A rational class with square <= -2 pairing negatively with K+D
-    can only be one of the boundary components themselves; returns whether
-    the candidate respects that, given the boundary at hand."""
-    total = model.zero()
-    for c in class_map.values():
-        total = total + c
-    sq = model.self_intersection(candidate)
-    pairing = model.intersect(model.canonical_class() + total, candidate)
-    if sq <= -2 and model.arithmetic_genus(candidate) == 0 and pairing < 0:
-        return candidate in class_map.values()
     return True
 
 

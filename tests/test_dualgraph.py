@@ -1,9 +1,17 @@
 """Dual graphs: genus bookkeeping, components, segment classification."""
 
+import pathlib
+import random
+from fractions import Fraction
+
 import pytest
 
 from logpair import (DualGraph, Edge, InputError, SurfaceModel, Vertex,
                      classify_segments)
+from logpair.jsonio import load_graph
+from logpair.selftest import random_bark_graph
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def chain(selfs, tag="C"):
@@ -123,3 +131,40 @@ def test_genus_vertex_excluded():
     rep = classify_segments(g)
     assert not rep.rods
     assert rep.excluded and "rational" in rep.excluded[0].reason
+
+
+def test_segment_coefficients_solve_the_bark_system():
+    # the criterion-3 peeling draws: an admissible segment carries the
+    # exact solution of Gram * a = -2 + beta, inside (0, 1]; an excluded
+    # one carries none
+    rng = random.Random(20817)
+    kept = dropped = 0
+    for _ in range(200):
+        g = random_bark_graph(rng)
+        for seg in classify_segments(g).segments:
+            if not seg.admissible:
+                dropped += 1
+                assert seg.coefficients == ()
+                continue
+            kept += 1
+            ids = list(seg.vertices)
+            gram = g.gram(ids)
+            a = seg.coefficients
+            assert len(a) == len(ids)
+            for j, vid in enumerate(ids):
+                lhs = sum(a[i] * gram[i][j] for i in range(len(ids)))
+                assert lhs == -2 + len(g.neighbors(vid))
+            assert all(isinstance(x, Fraction) and 0 < x <= 1 for x in a)
+    assert kept and dropped
+
+
+def test_fork_outside_coefficient_range_excluded():
+    # a negative definite star whose bark puts 0 on the (-2) hub is not
+    # a fork, and it offers no twigs either
+    g = load_graph(str(FIXTURES / "fork_not_log_terminal.json"))
+    rep = classify_segments(g)
+    assert not rep.forks and not rep.admissible_segments
+    [fork] = rep.excluded
+    assert fork.kind == "fork" and fork.center == "C"
+    assert fork.reason == "bark coefficient 0 outside (0, 1]"
+    assert fork.coefficients == ()

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
 from logpair import (DualGraph, Edge, SurfaceModel, Vertex,
-                     almost_minimalize, bark, bark_square_bound_check,
-                     sharp_boundary_class, sharp_orthogonality_check)
+                     almost_minimalize, bark, sharp_boundary_class,
+                     sharp_orthogonality_check)
 
 
 def star(center_self, arms, center_genus=0):
@@ -47,7 +49,7 @@ def test_four_vertex_star():
     assert bk.bark_square == -2
     assert bk.gram_square == -2
     assert bk.tips_count == 3
-    assert bk.bound_ok and bark_square_bound_check(bk)
+    assert bk.bound_ok
 
 
 def test_isolated_rod_two_squares():
@@ -96,6 +98,17 @@ def test_fork_with_large_coefficient_demoted():
     assert len(bk.report.admissible_segments) == 3
     assert all(0 < a <= 1 for a in bk.coefficients.values())
     assert bk.bound_ok
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the README says an inadmissible fork falls through to its "
+           "twigs; a negative definite star demoted by its coefficient "
+           "range offers none, so its (-3) arms, which peel as 1/3 each "
+           "under a genus-1 hub, are not peeled at all")
+def test_fork_demoted_by_coefficients_falls_through_to_twigs():
+    bk = bark(star(-2, [[-3], [-3], [-3]]))
+    assert bk.coefficients == {f"A{i}.0": Fraction(1, 3) for i in range(3)}
 
 
 def test_sharp_boundary_orthogonality():
