@@ -38,24 +38,26 @@ from .pencil import (FixedPart, PencilResult, analyze_adjoint_system,
                      is_big_hirzebruch, is_big_p2)
 from .examples import run_ex2, run_ex3, run_example
 from .search import (FamilyInstance, ConstraintReport,
+                     ConstraintValues, Inequalities, e_window,
                      evaluate_constraints, interval_report_x8_y1,
                      reduced_bounds_x8_y1, run_search)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarkResult", "ConstraintReport", "CorrectionResult",
-    "DecompositionCheck", "DivisorClass", "DualGraph", "Edge",
-    "EulerBoundReport", "FamilyInstance", "FixedPart", "HodgeData",
-    "InputError", "InternalError", "InvariantReport", "LogInvariants",
-    "LogPairError", "MinimalizationResult", "ModelKind", "NEF_SCOPE",
+    "BarkResult", "ConstraintReport", "ConstraintValues",
+    "CorrectionResult", "DecompositionCheck", "DivisorClass", "DualGraph",
+    "Edge", "EulerBoundReport", "FamilyInstance", "FixedPart", "HodgeData",
+    "Inequalities", "InputError", "InternalError", "InvariantReport",
+    "LogInvariants", "LogPairError", "MinimalizationResult", "ModelKind",
+    "NEF_SCOPE",
     "NoPencilError", "NotDecomposableError", "PencilResult", "Segment",
     "SegmentReport", "SurfaceModel", "TheoremCheck", "Vertex",
     "ZariskiDecomposition", "almost_minimalize",
     "analyze_adjoint_system", "bark", "big_margin_hirzebruch",
     "big_margin_p2", "blow_up_transform", "bmy_check",
     "classify_segments", "contract_exceptional",
-    "dim_lower_bound_hirzebruch", "dim_lower_bound_p2",
+    "dim_lower_bound_hirzebruch", "dim_lower_bound_p2", "e_window",
     "euler_bound_check", "evaluate_constraints",
     "genus_asymptotic_bound", "genus_bound", "interval_report_x8_y1",
     "invariant_report", "is_big_hirzebruch", "is_big_p2", "log_chern",

@@ -18,6 +18,14 @@ product term carries no factor of e there, while the lattice pairing
 stays visible.  Rows are emitted for every instance passing the three
 construction inequalities (big, effective, fixed_part); dim_positive
 is then the audited feasibility gate.
+
+`evaluate_constraints` evaluates the printed forms at one point with
+exact rationals.  Doubled, and with a = g+1-e substituted, each form
+is also an integer linear function of e for fixed (g, x, y), so
+`e_window` gives the exact open interval of e on which it holds.  The
+grid search takes the e in 0..g inside the construction window for
+each (g, x, y) and evaluates only those points, so it costs
+O(|g| |x| |y| + rows) and the rows are still the evaluator's.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .lattice import DivisorClass, SurfaceModel
 
 # a previously reported instance of the x=8, y=1 family, circulated as
@@ -85,60 +93,39 @@ class FamilyInstance:
 
 
 @dataclass(frozen=True)
+class Inequalities:
+    dim_positive: bool
+    big: bool
+    effective: bool
+    fixed_part: bool
+
+
+@dataclass(frozen=True)
+class ConstraintValues:
+    dim: Fraction
+    big: Fraction
+    effective: Fraction
+    fixed_part: Fraction     # printed form, no e on the first term
+    pairing_exact: Fraction  # lattice (K+D).M
+
+
+@dataclass(frozen=True)
 class ConstraintReport:
-    instance: FamilyInstance
-    dim_value: Fraction
-    big_value: Fraction
-    effective_value: Fraction
-    fixed_part_value: Fraction   # printed form, no e on the first term
-    pairing_exact: Fraction      # lattice (K+D).M
+    """One grid point, shaped as the search row it serializes to."""
+    g: int
+    e: int
+    x: int
+    y: int
+    a: int
     k: int
-
-    @property
-    def dim_positive(self) -> bool:
-        return self.dim_value > 0
-
-    @property
-    def big(self) -> bool:
-        return self.big_value > 0
-
-    @property
-    def effective(self) -> bool:
-        return self.effective_value > 0
-
-    @property
-    def fixed_part(self) -> bool:
-        return self.fixed_part_value < 0
-
-    @property
-    def feasible(self) -> bool:
-        return (self.dim_positive and self.big and self.effective
-                and self.fixed_part)
+    inequalities: Inequalities
+    feasible: bool
+    values: ConstraintValues
 
     @property
     def construction_ok(self) -> bool:
-        return self.big and self.effective and self.fixed_part
-
-    def as_dict(self) -> dict:
-        i = self.instance
-        return {
-            "g": i.g, "e": i.e, "x": i.x, "y": i.y, "a": i.a,
-            "k": self.k,
-            "inequalities": {
-                "dim_positive": self.dim_positive,
-                "big": self.big,
-                "effective": self.effective,
-                "fixed_part": self.fixed_part,
-            },
-            "feasible": self.feasible,
-            "values": {
-                "dim": self.dim_value,
-                "big": self.big_value,
-                "effective": self.effective_value,
-                "fixed_part": self.fixed_part_value,
-                "pairing_exact": self.pairing_exact,
-            },
-        }
+        q = self.inequalities
+        return q.big and q.effective and q.fixed_part
 
 
 def evaluate_constraints(inst: FamilyInstance) -> ConstraintReport:
@@ -158,40 +145,102 @@ def evaluate_constraints(inst: FamilyInstance) -> ConstraintReport:
         + (x - 2) * (y + e - a - 2)
         + (x - 4) * (y + e - 2))
     k = x * (g + 1 + e) + 2 * y - 8 * g - 8
-    return ConstraintReport(
-        instance=inst,
-        dim_value=Fraction(dim_value),
-        big_value=Fraction(big_value),
-        effective_value=Fraction(effective_value),
-        fixed_part_value=fixed_part_value,
+    values = ConstraintValues(
+        dim=Fraction(dim_value),
+        big=Fraction(big_value),
+        effective=Fraction(effective_value),
+        fixed_part=fixed_part_value,
         pairing_exact=pairing_exact,
-        k=k,
+    )
+    q = Inequalities(
+        dim_positive=values.dim > 0,
+        big=values.big > 0,
+        effective=values.effective > 0,
+        fixed_part=values.fixed_part < 0,
+    )
+    return ConstraintReport(
+        g=g, e=e, x=x, y=y, a=a, k=k,
+        inequalities=q,
+        feasible=q.dim_positive and q.big and q.effective and q.fixed_part,
+        values=values,
     )
 
 
-def reduced_bounds_x8_y1(g: int) -> dict:
-    """Closed-form thresholds of the four inequalities at x=8, y=1.
+def _linear_forms(g: int, x: int, y: int) -> dict[str, tuple[int, int]]:
+    """Each inequality at (g, x, y) as c*e + d > 0 with integers (c, d).
 
-    dim_positive reduces to 36e - 12g + 5 > 0, big to 24e - 2g - 8 > 0,
-    effective to 5(4e - g - 1) > 0, fixed_part to 16e - 6g + 8 < 0.
+    These are the printed forms with a = g+1-e substituted, times 2
+    (which clears the halves) and times -1 for fixed_part.
     """
     return {
-        "dim_lower": Fraction(12 * g - 5, 36),
-        "big_lower": Fraction(g + 4, 12),
-        "effective_lower": Fraction(g + 1, 4),
-        "fixed_upper": Fraction(3 * g - 4, 8),
+        "dim_positive": (x * (x + 1),
+                         2 * (x + 1) * y + 2 * x - 24 * (g + 1)),
+        "big": (x * (x - 2), (x - 2) * (2 * y - 4) - 4 * (g + 1)),
+        "effective": (x * (x - 3), 2 * (x - 3) * (y - g - 2)),
+        "fixed_part": (8 - 3 * x,
+                       -((x - 4) * (x - 2) + (x - 2) * (y - g - 3)
+                         + (x - 4) * (y - 2))),
+    }
+
+
+Interval = tuple[Optional[Fraction], Optional[Fraction]]
+
+
+def _solution_set(c: int, d: int) -> Interval:
+    """The real e with c*e + d > 0, as an open interval."""
+    if c > 0:
+        return Fraction(-d, c), None
+    if c < 0:
+        return None, Fraction(-d, c)
+    return (None, None) if d > 0 else (Fraction(0), Fraction(0))
+
+
+def e_window(g: int, x: int, y: int) -> dict[str, Interval]:
+    """The open interval (lo, hi) of real e on which each of the four
+    inequalities holds at (g, x, y).
+
+    None is an unbounded end, and (0, 0) is the empty set, which a zero
+    e-coefficient gives when the constant term fails.  The instance
+    range 0 <= e <= g is not applied here.
+    """
+    return {name: _solution_set(c, d)
+            for name, (c, d) in _linear_forms(g, x, y).items()}
+
+
+def _open_integers(lo: Fraction, hi: Fraction) -> range:
+    """The integers strictly between lo and hi."""
+    return range(floor(lo) + 1, ceil(hi))
+
+
+def _construction_es(g: int, x: int, y: int) -> range:
+    """The e in 0..g at which big, effective and fixed_part all hold."""
+    w = e_window(g, x, y)
+    lo, hi = Fraction(-1), Fraction(g + 1)
+    for name in ("big", "effective", "fixed_part"):
+        left, right = w[name]
+        if left is not None and left > lo:
+            lo = left
+        if right is not None and right < hi:
+            hi = right
+    return _open_integers(lo, hi)
+
+
+def reduced_bounds_x8_y1(g: int) -> dict:
+    """The thresholds of the four inequalities at x=8, y=1, read off
+    `e_window`: e > dim_lower, e > big_lower, e > effective_lower and
+    e < fixed_upper.  In closed form they are (12g-5)/36, (g+4)/12,
+    (g+1)/4 and (3g-4)/8.
+    """
+    w = e_window(g, 8, 1)
+    return {
+        "dim_lower": w["dim_positive"][0],
+        "big_lower": w["big"][0],
+        "effective_lower": w["effective"][0],
+        "fixed_upper": w["fixed_part"][1],
         # a variant of the first threshold also circulates; kept for
         # audit, not adopted
         "dim_lower_variant": Fraction(12 * g - 13, 36),
     }
-
-
-def _open_interval_integers(lo: Fraction, hi: Fraction) -> list[int]:
-    if lo >= hi:
-        return []
-    first = floor(lo) + 1
-    last = ceil(hi) - 1
-    return [v for v in range(first, last + 1) if lo < v < hi]
 
 
 def interval_report_x8_y1(g_lo: int, g_hi: int) -> dict:
@@ -209,8 +258,8 @@ def interval_report_x8_y1(g_lo: int, g_hi: int) -> dict:
         lower_var = max(b["dim_lower_variant"], b["big_lower"],
                         b["effective_lower"])
         upper = b["fixed_upper"]
-        ints = _open_interval_integers(lower, upper)
-        ints_var = _open_interval_integers(lower_var, upper)
+        ints = list(_open_integers(lower, upper))
+        ints_var = list(_open_integers(lower_var, upper))
         per_g.append({
             "g": g,
             "lower": lower,
@@ -243,14 +292,18 @@ def _parse_span(span, name: str) -> tuple[int, int]:
 
 def _rows_for_g(g: int, x_span: tuple[int, int],
                 y_span: tuple[int, int]) -> list[ConstraintReport]:
-    rows = []
-    for e in range(0, g + 1):
-        for x in range(x_span[0], x_span[1] + 1):
-            for y in range(y_span[0], y_span[1] + 1):
+    # rows are collected per e so that they come out in (e, x, y) order
+    by_e: list[list[ConstraintReport]] = [[] for _ in range(g + 1)]
+    for x in range(x_span[0], x_span[1] + 1):
+        for y in range(y_span[0], y_span[1] + 1):
+            for e in _construction_es(g, x, y):
                 rep = evaluate_constraints(FamilyInstance(g, e, x, y))
-                if rep.construction_ok:
-                    rows.append(rep)
-    return rows
+                if not rep.construction_ok:
+                    raise InternalError(
+                        f"e-window admits (g,e,x,y)=({g},{e},{x},{y}), "
+                        f"which fails a construction inequality")
+                by_e[e].append(rep)
+    return [rep for rows in by_e for rep in rows]
 
 
 def _grid_points(g_span: tuple[int, int], x_span: tuple[int, int],
@@ -262,12 +315,14 @@ def _grid_points(g_span: tuple[int, int], x_span: tuple[int, int],
 
 
 def run_search(g_range, x_range, y_range) -> dict:
-    """Exhaustive exact evaluation over the grid; deterministic output.
+    """Every grid point passing the construction inequalities, in
+    (g, e, x, y) order; deterministic output.
 
-    Points are evaluated in (g, e, x, y) order on the calling thread.
-    Grids of more than MAX_GRID_POINTS points are refused before any
-    evaluation.  Rows carry per-inequality booleans plus the exact
-    values so every disagreement is auditable.
+    For each (g, x, y) the e-window picks the passing e, and only those
+    points are evaluated, exactly, by `evaluate_constraints`.  Grids of
+    more than MAX_GRID_POINTS points are refused before any evaluation.
+    Rows carry per-inequality booleans plus the exact values so every
+    disagreement is auditable.
     """
     g_lo, g_hi = _parse_span(g_range, "g")
     if g_lo < 2:
@@ -283,15 +338,14 @@ def run_search(g_range, x_range, y_range) -> dict:
     ref = evaluate_constraints(FamilyInstance(*REFERENCE_INSTANCE))
     out = {
         "grid": {"g": [g_lo, g_hi], "x": list(x_span), "y": list(y_span)},
-        "rows": [r.as_dict() for r in rows],
+        "rows": rows,
         "row_count": len(rows),
         "feasible_count": sum(1 for r in rows if r.feasible),
         "reference_claim": {
-            "g": ref.instance.g, "e": ref.instance.e,
-            "x": ref.instance.x, "y": ref.instance.y,
+            "g": ref.g, "e": ref.e, "x": ref.x, "y": ref.y,
             "expected_feasible": True,
             "computed_feasible": ref.feasible,
-            "inequalities": ref.as_dict()["inequalities"],
+            "inequalities": ref.inequalities,
             "discrepancy": not ref.feasible,
         },
     }

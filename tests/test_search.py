@@ -1,5 +1,6 @@
 """Ruled-family constraint system and exhaustive grid search."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from logpair import (FamilyInstance, InputError, NoPencilError,
                      analyze_adjoint_system, evaluate_constraints,
                      interval_report_x8_y1, reduced_bounds_x8_y1,
                      run_search)
-from logpair.search import MAX_GRID_POINTS, _grid_points
+from logpair.search import (MAX_GRID_POINTS, _grid_points, _linear_forms,
+                            e_window)
 
 
 def test_instance_validation():
@@ -55,12 +57,13 @@ def test_adjoint_minus_fixed_part_is_fiber():
 
 def test_reference_instance_values():
     rep = evaluate_constraints(FamilyInstance(10, 3, 8, 1))
-    assert rep.dim_value == -7
-    assert rep.big_value == 44
-    assert rep.effective_value == 5
-    assert rep.fixed_part_value == -4
-    assert not rep.dim_positive
-    assert rep.big and rep.effective and rep.fixed_part
+    assert rep.values.dim == -7
+    assert rep.values.big == 44
+    assert rep.values.effective == 5
+    assert rep.values.fixed_part == -4
+    q = rep.inequalities
+    assert not q.dim_positive
+    assert q.big and q.effective and q.fixed_part
     assert rep.construction_ok and not rep.feasible
     assert rep.k == 26
 
@@ -68,12 +71,12 @@ def test_reference_instance_values():
 def test_printed_flat_form_vs_exact_pairing():
     # the flat fixed-part expression drops the surface degree from its
     # first product; the two agree exactly when e = 1
-    rep = evaluate_constraints(FamilyInstance(27, 9, 8, 1))
-    assert rep.fixed_part_value == -10
+    rep = evaluate_constraints(FamilyInstance(27, 9, 8, 1)).values
+    assert rep.fixed_part == -10
     assert rep.pairing_exact == 182
-    flat_e1 = evaluate_constraints(FamilyInstance(10, 1, 8, 1))
-    assert flat_e1.fixed_part_value == flat_e1.pairing_exact
-    diff = rep.pairing_exact - rep.fixed_part_value
+    flat_e1 = evaluate_constraints(FamilyInstance(10, 1, 8, 1)).values
+    assert flat_e1.fixed_part == flat_e1.pairing_exact
+    diff = rep.pairing_exact - rep.fixed_part
     # the gap is (x-2)(x-4)(e-1)
     assert diff == 6 * 4 * (9 - 1)
 
@@ -110,11 +113,104 @@ def test_reduced_bounds_match_grid():
     for g in range(8, 41):
         b = reduced_bounds_x8_y1(g)
         for e in range(0, g + 1):
-            rep = evaluate_constraints(FamilyInstance(g, e, 8, 1))
-            assert rep.dim_positive == (e > b["dim_lower"])
-            assert rep.big == (e > b["big_lower"])
-            assert rep.effective == (e > b["effective_lower"])
-            assert rep.fixed_part == (e < b["fixed_upper"])
+            q = evaluate_constraints(FamilyInstance(g, e, 8, 1)).inequalities
+            assert q.dim_positive == (e > b["dim_lower"])
+            assert q.big == (e > b["big_lower"])
+            assert q.effective == (e > b["effective_lower"])
+            assert q.fixed_part == (e < b["fixed_upper"])
+
+
+def test_reduced_bounds_closed_forms():
+    # the hand reduction of the four inequalities at x=8, y=1
+    for g in range(2, 61):
+        assert reduced_bounds_x8_y1(g) == {
+            "dim_lower": Fraction(12 * g - 5, 36),
+            "big_lower": Fraction(g + 4, 12),
+            "effective_lower": Fraction(g + 1, 4),
+            "fixed_upper": Fraction(3 * g - 4, 8),
+            "dim_lower_variant": Fraction(12 * g - 13, 36),
+        }
+
+
+def _inside(interval, e) -> bool:
+    lo, hi = interval
+    return (lo is None or lo < e) and (hi is None or e < hi)
+
+
+def test_e_window_matches_the_evaluator():
+    # x in -3..14 gives every sign the e-coefficients can take: zero at
+    # x in {-1, 0} (dim), {0, 2} (big) and {0, 3} (effective), negative
+    # for big at x = 1, for effective at x in {1, 2} and for fixed_part
+    # from x = 3 on; the dim coefficient x(x+1) is never negative and
+    # the fixed_part one 8-3x never zero
+    signs = set()
+    for g in range(2, 8):
+        for x in range(-3, 15):
+            for y in range(-3, 7):
+                w = e_window(g, x, y)
+                for name, (c, _) in _linear_forms(g, x, y).items():
+                    signs.add((name, (c > 0) - (c < 0)))
+                for e in range(0, g + 1):
+                    q = evaluate_constraints(
+                        FamilyInstance(g, e, x, y)).inequalities
+                    for name in w:
+                        assert _inside(w[name], e) == getattr(q, name), (
+                            name, g, e, x, y)
+    assert len(signs) == 10
+
+
+def test_e_window_edge_cases():
+    # x=3 zeroes the effective value: no e passes, the empty (0, 0)
+    assert e_window(10, 3, 1)["effective"] == (0, 0)
+    # x=0 leaves big constant, positive once y <= -g
+    assert e_window(5, 0, -5)["big"] == (None, None)
+    assert e_window(5, 0, -4)["big"] == (0, 0)
+    # a negative e-coefficient gives an upper end
+    assert e_window(2, 1, 3)["effective"] == (None, 2)
+    assert [e for e in range(3) if evaluate_constraints(
+        FamilyInstance(2, e, 1, 3)).inequalities.effective] == [0, 1]
+    # the open ends are exact: e = (12g-5)/36 is never an integer, but
+    # the fixed_part end (3g-4)/8 is one at g = 4 and is excluded
+    assert e_window(4, 8, 1)["fixed_part"] == (None, 1)
+    assert not evaluate_constraints(
+        FamilyInstance(4, 1, 8, 1)).inequalities.fixed_part
+
+
+def _oracle_rows(g_span, x_span, y_span) -> list:
+    """Rows kept by evaluating every grid point with the Fraction
+    evaluator, in (g, e, x, y) order."""
+    rows = []
+    for g in range(g_span[0], g_span[1] + 1):
+        for e in range(0, g + 1):
+            for x in range(x_span[0], x_span[1] + 1):
+                for y in range(y_span[0], y_span[1] + 1):
+                    rep = evaluate_constraints(FamilyInstance(g, e, x, y))
+                    if rep.construction_ok:
+                        rows.append(rep)
+    return rows
+
+
+def test_windowed_rows_equal_the_oracle_on_the_criterion6_grid():
+    spans = ((8, 40), (5, 12), (0, 5))
+    rows = run_search(*spans)["rows"]
+    assert len(rows) == 2359
+    assert rows == _oracle_rows(*spans)
+
+
+def test_windowed_rows_equal_the_oracle_on_seeded_spans():
+    rng = random.Random(6107)
+    kept = 0
+    for _ in range(60):
+        g_lo = rng.randint(2, 12)
+        x_lo = rng.randint(-3, 14)
+        y_lo = rng.randint(-3, 6)
+        spans = ((g_lo, g_lo + rng.randint(0, 3)),
+                 (x_lo, rng.randint(x_lo, 14)),
+                 (y_lo, rng.randint(y_lo, 6)))
+        rows = run_search(*spans)["rows"]
+        assert rows == _oracle_rows(*spans), spans
+        kept += len(rows)
+    assert kept
 
 
 def test_interval_report():
@@ -143,9 +239,9 @@ def test_run_search_single_cell():
     out = run_search((10, 10), (8, 8), (1, 1))
     assert out["row_count"] == 1
     row = out["rows"][0]
-    assert (row["g"], row["e"], row["x"], row["y"]) == (10, 3, 8, 1)
-    assert row["inequalities"]["dim_positive"] is False
-    assert row["feasible"] is False
+    assert (row.g, row.e, row.x, row.y) == (10, 3, 8, 1)
+    assert row.inequalities.dim_positive is False
+    assert row.feasible is False
     ref = out["reference_claim"]
     assert ref["expected_feasible"] and not ref["computed_feasible"]
     assert ref["discrepancy"]
@@ -175,14 +271,14 @@ def test_run_search_range_validation():
 
 def test_rows_sorted_and_gated():
     out = run_search((8, 12), (5, 12), (0, 5))
-    keys = [(r["g"], r["e"], r["x"], r["y"]) for r in out["rows"]]
+    keys = [(r.g, r.e, r.x, r.y) for r in out["rows"]]
     assert keys == sorted(keys)
     for r in out["rows"]:
-        q = r["inequalities"]
-        assert q["big"] and q["effective"] and q["fixed_part"]
-        assert r["feasible"] == (q["dim_positive"] and q["big"]
-                                 and q["effective"] and q["fixed_part"])
-    assert out["feasible_count"] == sum(r["feasible"] for r in out["rows"])
+        q = r.inequalities
+        assert q.big and q.effective and q.fixed_part
+        assert r.feasible == (q.dim_positive and q.big
+                              and q.effective and q.fixed_part)
+    assert out["feasible_count"] == sum(r.feasible for r in out["rows"])
     assert "interval_x8_y1" in out
 
 
