@@ -240,8 +240,9 @@ class TheoremCheck:
     applicable_branch: bool         # b >= 2, so the g+k window applies
     window_holds: Optional[bool]    # 2 <= g+k <= 3 (None when b < 2)
     boundary_case: bool             # g+k == 3
-    boundary_b_holds: Optional[bool]       # b <= 2 (None unless boundary)
-    boundary_h1_holds: Optional[bool]      # h1_log == 0 (None if not given)
+    # the g+k = 3 clause, None unless b >= 2 and g+k == 3
+    boundary_b_holds: Optional[bool]   # b <= 2
+    boundary_h1_holds: Optional[bool]  # h1_log == 0 (None if not given)
     passed: bool
     note: str
 
@@ -269,15 +270,13 @@ def main_theorem_predicate(
     applicable = b >= 2
     window = (2 <= g + k <= 3) if applicable else None
     boundary = (g + k == 3)
-    b_ok = (b <= 2) if boundary else None
-    h1_ok = (h1_log == 0) if (boundary and h1_log is not None) else None
-    passed = True
-    if applicable and not window:
-        passed = False
-    if boundary and b_ok is False:
-        passed = False
-    if h1_ok is False:
-        passed = False
+    # the g+k = 3 clause is part of the b >= 2 statement; below it the
+    # theorem says nothing
+    clause = applicable and boundary
+    b_ok = (b <= 2) if clause else None
+    h1_ok = (h1_log == 0) if (clause and h1_log is not None) else None
+    passed = (window is not False and b_ok is not False
+              and h1_ok is not False)
     return TheoremCheck(
         applicable_branch=applicable,
         window_holds=window,

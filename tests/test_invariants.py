@@ -162,6 +162,25 @@ def test_main_theorem_window():
     assert low.window_holds is None
 
 
+def test_main_theorem_boundary_clause_needs_two_sections():
+    # the g+k = 3 clause (b = 2, h1 = 0) belongs to the b >= 2 branch:
+    # for b in {0, 1} nothing is checked, even with h1 = 1
+    for g, k in [(1, 2), (2, 1), (0, 3)]:
+        for b in (0, 1):
+            rep = main_theorem_predicate(g, k, b, h1_log=1)
+            assert rep.passed
+            assert rep.applicable_branch is False
+            assert rep.boundary_case is True
+            assert rep.window_holds is None
+            assert rep.boundary_b_holds is None
+            assert rep.boundary_h1_holds is None
+        # from b = 2 on the clause is checked
+        assert main_theorem_predicate(g, k, 2, h1_log=0).passed
+        assert not main_theorem_predicate(g, k, 2, h1_log=1).passed
+        rep = main_theorem_predicate(g, k, 3, h1_log=0)
+        assert not rep.passed and rep.boundary_b_holds is False
+
+
 def test_main_theorem_input_guards():
     with pytest.raises(InputError, match="k > 0"):
         main_theorem_predicate(1, 0, 2)
