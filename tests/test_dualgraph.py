@@ -158,6 +158,56 @@ def test_segment_coefficients_solve_the_bark_system():
     assert kept and dropped
 
 
+def _continuant(bs) -> int:
+    """det of the tridiagonal matrix with diagonal bs and -1 beside it."""
+    prev, cur = 0, 1
+    for b in bs:
+        prev, cur = cur, b * cur - prev
+    return cur
+
+
+def test_segment_coefficients_match_the_continuant_closed_forms():
+    # an oracle that shares no algebra with the Gram solve: on a chain
+    # T1..Tn of rational curves with simple edges, d(S) = det(-Gram(S))
+    # is the continuant of the -Ti^2 (d of nothing is 1).  The chain is
+    # negative definite iff every leading continuant is positive, and
+    # then the bark coefficient of Ti is d(Ti+1..Tn)/d(T) on a twig with
+    # tip T1 and (d(T1..Ti-1) + d(Ti+1..Tn))/d(T) on a rod
+    rng = random.Random(20817)
+    graphs = [random_bark_graph(rng) for _ in range(200)]
+    # the draws are all definite; these rods are not
+    graphs += [DualGraph(*chain(s)) for s in ([-2, 0], [3], [-2, -2, -2, 1])]
+    checked = {"rod": 0, "twig": 0, "indefinite": 0}
+    for g in graphs:
+        for seg in classify_segments(g).segments:
+            if seg.kind == "fork" or (
+                    not seg.admissible
+                    and seg.reason != "Gram matrix is not negative definite"):
+                continue
+            ids = seg.vertices
+            n = len(ids)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    meet = g.neighbors(ids[i]).get(ids[j], 0)
+                    assert meet == (1 if j == i + 1 else 0)
+            bs = [-g.vertex(v).self_int for v in ids]
+            d = _continuant
+            definite = all(d(bs[:i]) > 0 for i in range(1, n + 1))
+            assert definite == seg.admissible
+            if not definite:
+                checked["indefinite"] += 1
+                continue
+            if seg.kind == "twig":
+                assert g.branching_number(ids[0]) == 1  # the tip
+                want = [Fraction(d(bs[i + 1:]), d(bs)) for i in range(n)]
+            else:
+                want = [Fraction(d(bs[:i]) + d(bs[i + 1:]), d(bs))
+                        for i in range(n)]
+            assert seg.coefficients == tuple(want)
+            checked[seg.kind] += 1
+    assert all(checked.values())
+
+
 def test_fork_outside_coefficient_range_excluded():
     # a negative definite star whose bark puts 0 on the (-2) hub is not
     # a fork, and it offers no twigs either
