@@ -37,20 +37,18 @@ from .pencil import (FixedPart, PencilResult, analyze_adjoint_system,
                      dim_lower_bound_hirzebruch, dim_lower_bound_p2,
                      is_big_hirzebruch, is_big_p2)
 from .examples import run_ex2, run_ex3, run_example
-from .search import (FamilyInstance, ConstraintReport,
-                     ConstraintValues, Inequalities, e_window,
+from .search import (FamilyInstance, ConstraintReport, e_window,
                      evaluate_constraints, interval_report_x8_y1,
                      reduced_bounds_x8_y1, run_search)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarkResult", "ConstraintReport", "ConstraintValues",
-    "CorrectionResult", "DecompositionCheck", "DivisorClass", "DualGraph",
-    "Edge", "EulerBoundReport", "FamilyInstance", "FixedPart", "HodgeData",
-    "Inequalities", "InputError", "InternalError", "InvariantReport",
-    "LogInvariants", "LogPairError", "MinimalizationResult", "ModelKind",
-    "NEF_SCOPE",
+    "BarkResult", "ConstraintReport", "CorrectionResult",
+    "DecompositionCheck", "DivisorClass", "DualGraph", "Edge",
+    "EulerBoundReport", "FamilyInstance", "FixedPart", "HodgeData",
+    "InputError", "InternalError", "InvariantReport", "LogInvariants",
+    "LogPairError", "MinimalizationResult", "ModelKind", "NEF_SCOPE",
     "NoPencilError", "NotDecomposableError", "PencilResult", "Segment",
     "SegmentReport", "SurfaceModel", "TheoremCheck", "Vertex",
     "ZariskiDecomposition", "almost_minimalize",

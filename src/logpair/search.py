@@ -93,39 +93,28 @@ class FamilyInstance:
 
 
 @dataclass(frozen=True)
-class Inequalities:
-    dim_positive: bool
-    big: bool
-    effective: bool
-    fixed_part: bool
-
-
-@dataclass(frozen=True)
-class ConstraintValues:
-    dim: Fraction
-    big: Fraction
-    effective: Fraction
-    fixed_part: Fraction     # printed form, no e on the first term
-    pairing_exact: Fraction  # lattice (K+D).M
-
-
-@dataclass(frozen=True)
 class ConstraintReport:
-    """One grid point, shaped as the search row it serializes to."""
+    """One grid point, shaped as the search row it serializes to.
+
+    `inequalities` maps dim_positive, big, effective and fixed_part to
+    booleans; `values` maps dim, big, effective and fixed_part (the
+    printed form, no e on the first term) and pairing_exact (the
+    lattice (K+D).M) to exact rationals.
+    """
     g: int
     e: int
     x: int
     y: int
     a: int
     k: int
-    inequalities: Inequalities
+    inequalities: dict[str, bool]
     feasible: bool
-    values: ConstraintValues
+    values: dict[str, Fraction]
 
     @property
     def construction_ok(self) -> bool:
         q = self.inequalities
-        return q.big and q.effective and q.fixed_part
+        return q["big"] and q["effective"] and q["fixed_part"]
 
 
 def evaluate_constraints(inst: FamilyInstance) -> ConstraintReport:
@@ -145,32 +134,29 @@ def evaluate_constraints(inst: FamilyInstance) -> ConstraintReport:
         + (x - 2) * (y + e - a - 2)
         + (x - 4) * (y + e - 2))
     k = x * (g + 1 + e) + 2 * y - 8 * g - 8
-    values = ConstraintValues(
-        dim=Fraction(dim_value),
-        big=Fraction(big_value),
-        effective=Fraction(effective_value),
-        fixed_part=fixed_part_value,
-        pairing_exact=pairing_exact,
-    )
-    q = Inequalities(
-        dim_positive=values.dim > 0,
-        big=values.big > 0,
-        effective=values.effective > 0,
-        fixed_part=values.fixed_part < 0,
-    )
-    return ConstraintReport(
-        g=g, e=e, x=x, y=y, a=a, k=k,
-        inequalities=q,
-        feasible=q.dim_positive and q.big and q.effective and q.fixed_part,
-        values=values,
-    )
+    values = {
+        "dim": Fraction(dim_value),
+        "big": Fraction(big_value),
+        "effective": Fraction(effective_value),
+        "fixed_part": fixed_part_value,
+        "pairing_exact": pairing_exact,
+    }
+    q = {
+        "dim_positive": values["dim"] > 0,
+        "big": values["big"] > 0,
+        "effective": values["effective"] > 0,
+        "fixed_part": values["fixed_part"] < 0,
+    }
+    return ConstraintReport(g=g, e=e, x=x, y=y, a=a, k=k, inequalities=q,
+                            feasible=all(q.values()), values=values)
 
 
 def _linear_forms(g: int, x: int, y: int) -> dict[str, tuple[int, int]]:
     """Each inequality at (g, x, y) as c*e + d > 0 with integers (c, d).
 
     These are the printed forms with a = g+1-e substituted, times 2
-    (which clears the halves) and times -1 for fixed_part.
+    for dim_positive, big and effective (which clears their halves) and
+    times -1 for fixed_part.
     """
     return {
         "dim_positive": (x * (x + 1),

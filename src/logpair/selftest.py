@@ -321,16 +321,16 @@ def check_family_search() -> tuple[bool, str]:
         b = reduced_bounds_x8_y1(g)
         for e in range(0, g + 1):
             q = evaluate_constraints(FamilyInstance(g, e, 8, 1)).inequalities
-            c.expect(q.big == (e > b["big_lower"]),
+            c.expect(q["big"] == (e > b["big_lower"]),
                      f"big reduction differs at g={g}, e={e}")
-            c.expect(q.effective == (e > b["effective_lower"]),
+            c.expect(q["effective"] == (e > b["effective_lower"]),
                      f"effective reduction differs at g={g}, e={e}")
-            c.expect(q.fixed_part == (e < b["fixed_upper"]),
+            c.expect(q["fixed_part"] == (e < b["fixed_upper"]),
                      f"fixed-part reduction differs at g={g}, e={e}")
-            c.expect(q.dim_positive == (e > b["dim_lower"]),
+            c.expect(q["dim_positive"] == (e > b["dim_lower"]),
                      f"dimension reduction differs at g={g}, e={e}")
     ref = evaluate_constraints(FamilyInstance(10, 3, 8, 1))
-    c.expect(not ref.inequalities.dim_positive,
+    c.expect(not ref.inequalities["dim_positive"],
              "(10,3) dimension inequality unexpectedly holds")
     c.expect(ref.construction_ok,
              "(10,3) construction inequalities should hold")
@@ -344,7 +344,7 @@ def check_family_search() -> tuple[bool, str]:
     c.equal(small["row_count"], 1, "10/8/1 row count")
     if small["rows"]:
         row = small["rows"][0]
-        c.expect(row.inequalities.dim_positive is False,
+        c.expect(row.inequalities["dim_positive"] is False,
                  "10/8/1 row should fail the dimension inequality")
     c.note(f"fiber checks 0<=e<=g<=30, pairing grid 10x10x5x5, "
            f"reductions on g in [8,40], (10,3) flagged, grid in "

@@ -57,13 +57,13 @@ def test_adjoint_minus_fixed_part_is_fiber():
 
 def test_reference_instance_values():
     rep = evaluate_constraints(FamilyInstance(10, 3, 8, 1))
-    assert rep.values.dim == -7
-    assert rep.values.big == 44
-    assert rep.values.effective == 5
-    assert rep.values.fixed_part == -4
+    assert rep.values["dim"] == -7
+    assert rep.values["big"] == 44
+    assert rep.values["effective"] == 5
+    assert rep.values["fixed_part"] == -4
     q = rep.inequalities
-    assert not q.dim_positive
-    assert q.big and q.effective and q.fixed_part
+    assert not q["dim_positive"]
+    assert q["big"] and q["effective"] and q["fixed_part"]
     assert rep.construction_ok and not rep.feasible
     assert rep.k == 26
 
@@ -72,11 +72,11 @@ def test_printed_flat_form_vs_exact_pairing():
     # the flat fixed-part expression drops the surface degree from its
     # first product; the two agree exactly when e = 1
     rep = evaluate_constraints(FamilyInstance(27, 9, 8, 1)).values
-    assert rep.fixed_part == -10
-    assert rep.pairing_exact == 182
+    assert rep["fixed_part"] == -10
+    assert rep["pairing_exact"] == 182
     flat_e1 = evaluate_constraints(FamilyInstance(10, 1, 8, 1)).values
-    assert flat_e1.fixed_part == flat_e1.pairing_exact
-    diff = rep.pairing_exact - rep.fixed_part
+    assert flat_e1["fixed_part"] == flat_e1["pairing_exact"]
+    diff = rep["pairing_exact"] - rep["fixed_part"]
     # the gap is (x-2)(x-4)(e-1)
     assert diff == 6 * 4 * (9 - 1)
 
@@ -114,10 +114,10 @@ def test_reduced_bounds_match_grid():
         b = reduced_bounds_x8_y1(g)
         for e in range(0, g + 1):
             q = evaluate_constraints(FamilyInstance(g, e, 8, 1)).inequalities
-            assert q.dim_positive == (e > b["dim_lower"])
-            assert q.big == (e > b["big_lower"])
-            assert q.effective == (e > b["effective_lower"])
-            assert q.fixed_part == (e < b["fixed_upper"])
+            assert q["dim_positive"] == (e > b["dim_lower"])
+            assert q["big"] == (e > b["big_lower"])
+            assert q["effective"] == (e > b["effective_lower"])
+            assert q["fixed_part"] == (e < b["fixed_upper"])
 
 
 def test_reduced_bounds_closed_forms():
@@ -154,7 +154,7 @@ def test_e_window_matches_the_evaluator():
                     q = evaluate_constraints(
                         FamilyInstance(g, e, x, y)).inequalities
                     for name in w:
-                        assert _inside(w[name], e) == getattr(q, name), (
+                        assert _inside(w[name], e) == q[name], (
                             name, g, e, x, y)
     assert len(signs) == 10
 
@@ -168,12 +168,12 @@ def test_e_window_edge_cases():
     # a negative e-coefficient gives an upper end
     assert e_window(2, 1, 3)["effective"] == (None, 2)
     assert [e for e in range(3) if evaluate_constraints(
-        FamilyInstance(2, e, 1, 3)).inequalities.effective] == [0, 1]
+        FamilyInstance(2, e, 1, 3)).inequalities["effective"]] == [0, 1]
     # the open ends are exact: e = (12g-5)/36 is never an integer, but
     # the fixed_part end (3g-4)/8 is one at g = 4 and is excluded
     assert e_window(4, 8, 1)["fixed_part"] == (None, 1)
     assert not evaluate_constraints(
-        FamilyInstance(4, 1, 8, 1)).inequalities.fixed_part
+        FamilyInstance(4, 1, 8, 1)).inequalities["fixed_part"]
 
 
 def _oracle_rows(g_span, x_span, y_span) -> list:
@@ -240,7 +240,7 @@ def test_run_search_single_cell():
     assert out["row_count"] == 1
     row = out["rows"][0]
     assert (row.g, row.e, row.x, row.y) == (10, 3, 8, 1)
-    assert row.inequalities.dim_positive is False
+    assert row.inequalities["dim_positive"] is False
     assert row.feasible is False
     ref = out["reference_claim"]
     assert ref["expected_feasible"] and not ref["computed_feasible"]
@@ -275,9 +275,9 @@ def test_rows_sorted_and_gated():
     assert keys == sorted(keys)
     for r in out["rows"]:
         q = r.inequalities
-        assert q.big and q.effective and q.fixed_part
-        assert r.feasible == (q.dim_positive and q.big
-                              and q.effective and q.fixed_part)
+        assert q["big"] and q["effective"] and q["fixed_part"]
+        assert r.feasible == (q["dim_positive"] and q["big"]
+                              and q["effective"] and q["fixed_part"])
     assert out["feasible_count"] == sum(r.feasible for r in out["rows"])
     assert "interval_x8_y1" in out
 
