@@ -261,8 +261,9 @@ def main_theorem_predicate(
     b: int,
     h1_log: Optional[int] = None,
 ) -> TheoremCheck:
-    """Check a fibered pair's (genus, boundary degree, section count)
-    triple against the classification window."""
+    """Check a fibered pair's (fiber genus g, boundary meeting number
+    k = D.F, base curve genus b) triple against the classification
+    window."""
     if k <= 0:
         raise InputError("the boundary must meet the fiber: k > 0 required")
     if g < 0 or b < 0:

@@ -384,7 +384,7 @@ def check_blowup_invariance() -> tuple[bool, str]:
 def check_predicates() -> tuple[bool, str]:
     c = _Check()
     # the window clause constrains nothing at g+k=2; at g+k=3 the
-    # boundary clause allows section count at most 2
+    # boundary clause allows base genus at most 2
     for g, k, b in [(1, 1, 2), (1, 1, 3), (1, 1, 5), (1, 2, 2),
                     (2, 1, 2)]:
         rep = main_theorem_predicate(g, k, b, h1_log=0)

@@ -162,7 +162,7 @@ def test_main_theorem_window():
     assert low.window_holds is None
 
 
-def test_main_theorem_boundary_clause_needs_two_sections():
+def test_main_theorem_boundary_clause_needs_base_genus_two():
     # the g+k = 3 clause (b = 2, h1 = 0) belongs to the b >= 2 branch:
     # for b in {0, 1} nothing is checked, even with h1 = 1
     for g, k in [(1, 2), (2, 1), (0, 3)]:
