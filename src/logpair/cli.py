@@ -191,10 +191,10 @@ def _report(args) -> tuple[object, list[str]]:
         bk = bark(load_graph(args.graph))
         return {
             "coefficients": bk.coefficients,
-            "sharp_coefficients": bk.sharp_coeffs,
+            "sharp_coefficients": bk.sharp_coefficients,
             "bark_square": bk.bark_square,
             "gram_square": bk.gram_square,
-            "tips": bk.tips_count,
+            "tips": bk.tips,
             "bound_ok": bk.bound_ok,
             "segments": [
                 {"kind": s.kind, "vertices": s.vertices,

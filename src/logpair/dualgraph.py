@@ -132,17 +132,9 @@ class DualGraph:
         self.vertex(vid)
         return len(self._adj[vid])
 
-    def weighted_degree(self, vid: str) -> int:
-        self.vertex(vid)
-        return sum(self._adj[vid].values())
-
     @property
     def total_edge_multiplicity(self) -> int:
         return sum(e.mult for e in self.edges)
-
-    @property
-    def is_snc(self) -> bool:
-        return all(e.mult == 1 for e in self.edges)
 
     def components(self) -> list[list[str]]:
         """Connected components, each in vertex insertion order."""

@@ -96,7 +96,7 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
             "coefficients": bk.coefficients,
             "bark_square": bk.bark_square,
             "gram_square": bk.gram_square,
-            "tips": bk.tips_count,
+            "tips": bk.tips,
             "bound_ok": bk.bound_ok,
         },
         "bmy": {

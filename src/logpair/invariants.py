@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .dualgraph import DualGraph
 from .errors import InputError, InternalError
 from .lattice import DivisorClass, HodgeData, SurfaceModel
-from .linalg import solve_linear
 from .peeling import BarkResult, bark
 
 
@@ -181,58 +180,6 @@ def genus_bound(n: int, p_sq) -> Fraction:
     if not isinstance(n, int) or n < 1:
         raise InputError("the section multiplicity n must be an integer >= 1")
     return Fraction(n + 2, 2 * n * n) * Fraction(p_sq) + 1
-
-
-def genus_asymptotic_bound(n: int, n_sq) -> Fraction:
-    """Upper bound for g - 1 once the square bound is fed through the
-    surface inequality: 3 (n+2) (2n + 3 - N^2/4) / (2 n^2)."""
-    if not isinstance(n, int) or n < 1:
-        raise InputError("the section multiplicity n must be an integer >= 1")
-    return (Fraction(3 * (n + 2), 2 * n * n)
-            * (2 * n + 3 - Fraction(n_sq) / 4))
-
-
-@dataclass(frozen=True)
-class CorrectionResult:
-    coefficients: tuple[Fraction, ...]
-    corrected: DivisorClass
-    original_square: Fraction
-    corrected_square: Fraction
-
-
-def sharp_completion(
-    model: SurfaceModel,
-    x: DivisorClass,
-    components: Sequence[DivisorClass],
-) -> CorrectionResult:
-    """X# = X + sum(a_i D_i) with X# orthogonal to every D_i.
-
-    The components must span a negative definite sublattice.  Since the
-    correction lives in that sublattice, (X#)^2 = X^2 - A^2 >= X^2 holds
-    unconditionally and is verified here.
-    """
-    if len(x) != model.basis_size:
-        raise InputError("class does not live in the model lattice")
-    comps = list(components)
-    if not comps:
-        return CorrectionResult((), x, model.self_intersection(x),
-                                model.self_intersection(x))
-    gram = [[model.intersect(a, b) for b in comps] for a in comps]
-    rhs = [-model.intersect(x, c) for c in comps]
-    coeffs = solve_linear(gram, rhs)
-    if coeffs is None:
-        raise InputError("component Gram matrix is not negative definite")
-    corrected = x
-    for a, c in zip(coeffs, comps):
-        corrected = corrected + a * c
-    for c in comps:
-        if model.intersect(corrected, c) != 0:
-            raise InternalError("orthogonal correction failed to close")
-    x_sq = model.self_intersection(x)
-    out_sq = model.self_intersection(corrected)
-    if out_sq < x_sq:
-        raise InternalError("corrected square dropped below the original")
-    return CorrectionResult(tuple(coeffs), corrected, x_sq, out_sq)
 
 
 @dataclass(frozen=True)

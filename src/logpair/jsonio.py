@@ -23,6 +23,16 @@ from .lattice import RATIONAL_RE, DivisorClass, SurfaceModel, parse_rational
 
 _INTEGER_RE = re.compile(r"[+-]?\d+")
 
+# largest model file accepted: room for the 1,997 points that
+# `example run ex3 --a 500` builds
+MAX_MODEL_POINTS = 2_000
+
+# largest candidate file accepted: four times the largest bundled or
+# benchmark pool.  `zariski` may absorb one class per round, so its cost
+# grows with the cube of the count: a 32-root chain on a model of
+# MAX_MODEL_POINTS points takes about 2 s.
+MAX_CANDIDATES = 32
+
 
 def encode_rational(v: Fraction):
     if v.denominator == 1:
@@ -125,23 +135,27 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _points(data: Mapping, kind: str) -> int:
+    points = data.get("points")
+    if not _is_int(points) or points < 0:
+        raise InputError(f"{kind} needs integer points >= 0")
+    if points > MAX_MODEL_POINTS:
+        raise InputError(
+            f"model has {points} points; the limit is {MAX_MODEL_POINTS}")
+    return points
+
+
 def parse_model(data) -> SurfaceModel:
     if not isinstance(data, Mapping):
         raise InputError("model JSON must be an object")
     kind = data.get("kind")
     if kind == "p2_blowup":
-        points = data.get("points")
-        if not _is_int(points) or points < 0:
-            raise InputError("p2_blowup needs integer points >= 0")
-        return SurfaceModel.plane_blowup(points)
+        return SurfaceModel.plane_blowup(_points(data, kind))
     if kind == "hirzebruch":
         e = data.get("e")
-        points = data.get("points")
         if not _is_int(e) or e < 0:
             raise InputError("hirzebruch needs integer e >= 0")
-        if not _is_int(points) or points < 0:
-            raise InputError("hirzebruch needs integer points >= 0")
-        return SurfaceModel.hirzebruch(e, points)
+        return SurfaceModel.hirzebruch(e, _points(data, kind))
     if kind == "custom":
         gram = data.get("gram")
         if not isinstance(gram, list) or not gram:
@@ -227,6 +241,9 @@ def load_classes(path: str,
         raise InputError(
             f"{path}: expected an array of classes or an object with a "
             "candidates array")
+    if len(data) > MAX_CANDIDATES:
+        raise InputError(
+            f"{path} has {len(data)} classes; the limit is {MAX_CANDIDATES}")
     return [parse_class(item, model) for item in data]
 
 

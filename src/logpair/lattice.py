@@ -221,25 +221,6 @@ class SurfaceModel:
         return len(self.gram_rows)
 
     @property
-    def basis_labels(self) -> tuple[str, ...]:
-        if self.kind is ModelKind.P2_BLOWUP:
-            return ("H",) + tuple(f"E{i}" for i in range(1, self.num_points + 1))
-        if self.kind is ModelKind.HIRZEBRUCH:
-            return ("Dinf", "Gamma") + tuple(
-                f"E{i}" for i in range(1, self.num_points + 1)
-            )
-        return tuple(f"v{i}" for i in range(len(self.gram_rows)))
-
-    @property
-    def exceptional_indices(self) -> range:
-        """Coordinate positions of the blow-up basis classes E1..En."""
-        if self.kind is ModelKind.P2_BLOWUP:
-            return range(1, self.basis_size)
-        if self.kind is ModelKind.HIRZEBRUCH:
-            return range(2, self.basis_size)
-        return range(0)
-
-    @property
     def hodge(self) -> HodgeData:
         n = self.num_points
         if self.kind is ModelKind.P2_BLOWUP:
@@ -345,25 +326,6 @@ class SurfaceModel:
         return {"kind": "custom",
                 "gram": [list(row) for row in self.gram_rows]}
 
-    def format_class(self, c: DivisorClass) -> str:
-        if len(c) != self.basis_size:
-            raise InputError("dimension mismatch")
-        parts = []
-        for coeff, label in zip(c.coeffs, self.basis_labels):
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            term = label if mag == 1 else f"{mag}*{label}"
-            parts.append((sign, term))
-        if not parts:
-            return "0"
-        first_sign, first_term = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in parts[1:]:
-            out += f" {sign} {term}"
-        return out
-
 
 def blow_up_transform(
     model: SurfaceModel,
@@ -392,28 +354,3 @@ def blow_up_transform(
             tuple(x * m.denominator for x in c.nums)
             + (-m.numerator * c.den,), c.den * m.denominator))
     return bigger, out
-
-
-def contract_exceptional(
-    model: SurfaceModel,
-    index: int,
-    classes: Sequence[DivisorClass],
-) -> tuple[SurfaceModel, list[DivisorClass]]:
-    """Contract the basis class at coordinate `index` and push classes forward.
-
-    Only basis exceptionals can be contracted here; arbitrary (-1)-classes
-    would need a change of basis first and are rejected by construction.
-    """
-    if index not in model.exceptional_indices:
-        raise InputError("only basis exceptional classes can be contracted")
-    if model.kind is ModelKind.P2_BLOWUP:
-        smaller = SurfaceModel.plane_blowup(model.num_points - 1)
-    else:
-        smaller = SurfaceModel.hirzebruch(model.degree_e, model.num_points - 1)
-    out = []
-    for c in classes:
-        if len(c) != model.basis_size:
-            raise InputError("dimension mismatch")
-        out.append(DivisorClass._make(
-            c.nums[:index] + c.nums[index + 1:], c.den))
-    return smaller, out

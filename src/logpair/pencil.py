@@ -45,10 +45,6 @@ def big_margin_p2(degree: int, mults: Sequence[int]) -> Fraction:
     return Fraction(degree * degree - sum(v * v for v in ms))
 
 
-def is_big_p2(degree: int, mults: Sequence[int]) -> bool:
-    return big_margin_p2(degree, mults) > 0
-
-
 def dim_lower_bound_hirzebruch(
     a: int, b: int, e: int, mults: Sequence[int],
 ) -> Fraction:
@@ -66,10 +62,6 @@ def big_margin_hirzebruch(
     ms = _check_mults(mults)
     return (a * (b + Fraction(a * e, 2))
             - Fraction(sum(v * v for v in ms), 2))
-
-
-def is_big_hirzebruch(a: int, b: int, e: int, mults: Sequence[int]) -> bool:
-    return big_margin_hirzebruch(a, b, e, mults) > 0
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,12 @@ class PencilResult:
 
 def _class_profile(model: SurfaceModel, c: DivisorClass):
     """Split a class into (leading degrees, point multiplicities) when
-    the model kind has a closed-form dimension count."""
+    the model kind has a closed-form dimension count.
+
+    None when it has none: a custom model, a non-integral class, or a
+    negative multiplicity.  The closed forms assume assigned base
+    multiplicities, so excess classes fall outside them.
+    """
     if model.kind is ModelKind.P2_BLOWUP:
         lead = 1
     elif model.kind is ModelKind.HIRZEBRUCH:
@@ -104,7 +101,10 @@ def _class_profile(model: SurfaceModel, c: DivisorClass):
         return None
     if c.den != 1:
         return None
-    return c.nums[:lead], [-v for v in c.nums[lead:]]
+    mults = [-v for v in c.nums[lead:]]
+    if any(v < 0 for v in mults):
+        return None
+    return c.nums[:lead], mults
 
 
 def bigness_of(model: SurfaceModel, c: DivisorClass) -> tuple[
@@ -114,10 +114,6 @@ def bigness_of(model: SurfaceModel, c: DivisorClass) -> tuple[
     if prof is None:
         return None, None
     degs, mults = prof
-    if any(v < 0 for v in mults):
-        # tests assume assigned base multiplicities; excess classes
-        # fall outside the closed forms
-        return None, None
     if model.kind is ModelKind.P2_BLOWUP:
         margin = big_margin_p2(degs[0], mults)
     else:
@@ -132,8 +128,6 @@ def dim_bound_of(model: SurfaceModel,
     if prof is None:
         return None
     degs, mults = prof
-    if any(v < 0 for v in mults):
-        return None
     if model.kind is ModelKind.P2_BLOWUP:
         return dim_lower_bound_p2(degs[0], mults)
     return dim_lower_bound_hirzebruch(

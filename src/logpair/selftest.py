@@ -175,7 +175,7 @@ def check_peeling() -> tuple[bool, str]:
         bk = bark(g)
         c.equal(bk.coefficients.get("A0v0"), Fraction(1, d),
                 f"(-{d}) twig tip coefficient")
-        c.equal(bk.sharp_coeffs.get("A0v0"), 1 - Fraction(1, d),
+        c.equal(bk.sharp_coefficients.get("A0v0"), 1 - Fraction(1, d),
                 f"(-{d}) twig sharp multiplicity")
     # chain of r (-2)s attached as a twig: the free end (the arm vertex
     # farthest from the hub) carries coefficient r/(r+1)
@@ -190,7 +190,7 @@ def check_peeling() -> tuple[bool, str]:
     c.equal(sorted(bk.coefficients.values()),
             [Fraction(1)] * 4, "star fork coefficients")
     c.equal(bk.bark_square, Fraction(-2), "star fork square")
-    c.equal(bk.tips_count, 3, "star fork tips")
+    c.equal(bk.tips, 3, "star fork tips")
     c.expect(bk.bound_ok, "star fork bound")
     rng = random.Random(20817)
     count = 0
@@ -202,8 +202,8 @@ def check_peeling() -> tuple[bool, str]:
         count += 1
         c.expect(all(0 < a <= 1 for a in bk.coefficients.values()),
                  "bark coefficient outside (0,1]")
-        c.expect(bk.bark_square >= -bk.tips_count,
-                 f"bound violated: {bk.bark_square} < -{bk.tips_count}")
+        c.expect(bk.bark_square >= -bk.tips,
+                 f"bound violated: {bk.bark_square} < -{bk.tips}")
     c.note("closed forms for d=2..9 and r=1..8; bound held on "
            f"{count} randomized admissible graphs")
     return not c.problems, c.detail()

@@ -1,8 +1,9 @@
 """Acceptance gate.
 
-Runs every numbered check from the selftest harness, one test per
-criterion, and prints the same pass/fail line the command-line
-`selftest` subcommand emits.  The full `selftest` output, numbering
+Checks every numbered criterion of the selftest harness, one test per
+criterion, on the results of one session-wide run (conftest.py), and
+prints the same pass/fail line the command-line `selftest` subcommand
+emits.  The full `selftest` output, numbering
 and line format included, is pinned by tests/golden/selftest.txt
 (test_golden.py).  All arithmetic is exact, so "tolerance"
 is equality of rationals throughout.
@@ -25,7 +26,7 @@ import pytest
 
 from logpair.dualgraph import DualGraph, Edge, Vertex
 from logpair.peeling import bark
-from logpair.selftest import CRITERIA, run_criterion
+from logpair.selftest import CRITERIA
 
 NUMBERS = [number for number, _, _ in CRITERIA]
 NAMES = {number: name for number, name, _ in CRITERIA}
@@ -34,8 +35,8 @@ NAMES = {number: name for number, name, _ in CRITERIA}
 @pytest.mark.parametrize("number", NUMBERS,
                          ids=[f"{n:02d}_{NAMES[n].replace(' ', '_')}"
                               for n in NUMBERS])
-def test_criterion(number):
-    result = run_criterion(number)
+def test_criterion(number, selftest_results):
+    (result,) = [r for r in selftest_results if r.number == number]
     print(result.line())
     assert result.passed, result.line()
 

@@ -9,6 +9,8 @@ import time
 
 from logpair.cli import main
 from logpair.examples import MAX_EX3_A
+from logpair.jsonio import (MAX_CANDIDATES, MAX_MODEL_POINTS, load_classes,
+                            parse_model)
 from logpair.search import MAX_GRID_POINTS
 
 FIXTURES = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures")
@@ -269,3 +271,35 @@ def test_oversized_ex3_parameter_is_input_error(capsys):
     assert code == 1
     assert out == ""
     assert f"a must be at most {MAX_EX3_A}" in err
+
+
+def test_oversized_model_is_input_error(tmp_path, capsys):
+    assert parse_model({"kind": "p2_blowup",
+                        "points": MAX_MODEL_POINTS}).basis_size == 2_001
+    cands = _write_json(tmp_path, "cands.json", [[0, 1]])
+    for doc in ({"kind": "p2_blowup", "points": MAX_MODEL_POINTS + 1},
+                {"kind": "hirzebruch", "e": 1, "points": 40_000}):
+        model = _write_json(tmp_path, "model.json", doc)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "zariski", model, "--class", "1,2",
+                                 "--candidates", cands)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert f"points; the limit is {MAX_MODEL_POINTS}" in err
+
+
+def test_oversized_candidate_file_is_input_error(tmp_path, capsys):
+    model = f"{FIXTURES}/one_point_model.json"
+    pool = [[i, 1] for i in range(MAX_CANDIDATES + 1)]
+    cands = _write_json(tmp_path, "cands.json", pool[:MAX_CANDIDATES])
+    assert len(load_classes(cands)) == MAX_CANDIDATES
+    cands = _write_json(tmp_path, "cands.json", {"candidates": pool})
+    for argv in (["zariski", model, "--class", "1,2"],
+                 ["pencil", model, "--divisor", "1,2"]):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--candidates", cands)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert f"has {MAX_CANDIDATES + 1} classes; the limit is" in err

@@ -26,11 +26,9 @@ def test_graph_genus_two_routes():
                   [Edge("A", "B", 3)])
     assert g.arithmetic_genus() == 2
     assert g.total_edge_multiplicity == 3
-    assert not g.is_snc
     # a genus-1 vertex alone
     g2 = DualGraph([Vertex("A", 1, 0)])
     assert g2.arithmetic_genus() == 1
-    assert g2.is_snc
 
 
 def test_components_and_queries():
@@ -41,7 +39,7 @@ def test_components_and_queries():
     assert g.branching_number("C1") == 2
     assert g.branching_number("X") == 0
     assert g.neighbors("C0") == {"C1": 1}
-    assert g.weighted_degree("C1") == 2
+    assert g.neighbors("C1") == {"C0": 1, "C2": 1}
 
 
 def test_graph_validation():

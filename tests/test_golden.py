@@ -22,6 +22,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import logpair.cli
 from logpair.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -109,8 +110,14 @@ def test_golden_digest(name):
     assert hashlib.sha256(_stdout(HASHED[name])).hexdigest() == want
 
 
-def test_golden_selftest():
-    # the criteria numbered 1..8, each line in the "criterion N [pass]" form
+def test_golden_selftest(monkeypatch, selftest_results):
+    # the criteria numbered 1..8, each line in the "criterion N [pass]" form;
+    # the subcommand formats the session's results instead of rerunning them
+    def run_all(only=None):
+        assert only is None
+        return selftest_results
+
+    monkeypatch.setattr(logpair.cli, "run_all", run_all)
     assert _selftest_masked() == (GOLDEN / "selftest.txt").read_bytes()
 
 

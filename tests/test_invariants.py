@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from logpair import (DualGraph, Edge, InputError, SurfaceModel, Vertex,
-                     bmy_check, euler_bound_check, genus_asymptotic_bound,
-                     genus_bound, invariant_report, log_chern,
-                     log_genus_rational,
-                     main_theorem_predicate, noether_check,
-                     sharp_completion)
+from logpair import (DualGraph, InputError, SurfaceModel, Vertex,
+                     bmy_check, euler_bound_check, genus_bound,
+                     invariant_report, log_chern, log_genus_rational,
+                     main_theorem_predicate, noether_check)
 from logpair.examples import sextic_config
 
 
@@ -109,40 +107,6 @@ def test_genus_bound_values():
         genus_bound(0, 4)
     with pytest.raises(InputError):
         genus_bound(-2, 4)
-
-
-def test_genus_asymptotic_bound():
-    # n=1: 9/2 * (5 - N^2/4); N^2 = 0 gives 45/2
-    assert genus_asymptotic_bound(1, 0) == Fraction(45, 2)
-    # more negative N^2 loosens nothing: larger bound
-    assert genus_asymptotic_bound(1, -4) == 27
-    with pytest.raises(InputError):
-        genus_asymptotic_bound(0, 0)
-
-
-def test_sharp_completion():
-    m = SurfaceModel.plane_blowup(2)
-    x = m.plane_class(1, [])
-    comps = [m.exceptional(1) - m.exceptional(2)]
-    # X already orthogonal: nothing to correct
-    res = sharp_completion(m, x, comps)
-    assert res.corrected == x
-    assert res.corrected_square == res.original_square == 1
-    # X meeting the root: corrected square must not drop
-    x2 = m.divisor([1, -1, 0])
-    res2 = sharp_completion(m, x2, comps)
-    assert all(m.intersect(res2.corrected, c) == 0 for c in comps)
-    assert res2.corrected_square >= res2.original_square
-    assert res2.corrected_square == res2.original_square + Fraction(1, 2)
-    # empty component list is a no-op
-    res3 = sharp_completion(m, x2, [])
-    assert res3.corrected == x2
-
-
-def test_sharp_completion_rejects_bad_support():
-    m = SurfaceModel.plane_blowup(1)
-    with pytest.raises(InputError, match="negative definite"):
-        sharp_completion(m, m.exceptional(1), [m.plane_class(1, [])])
 
 
 def test_main_theorem_window():

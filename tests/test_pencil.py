@@ -6,8 +6,7 @@ import pytest
 
 from logpair import (NoPencilError, SurfaceModel, analyze_adjoint_system,
                      big_margin_hirzebruch, big_margin_p2,
-                     dim_lower_bound_hirzebruch, dim_lower_bound_p2,
-                     is_big_hirzebruch, is_big_p2)
+                     dim_lower_bound_hirzebruch, dim_lower_bound_p2)
 from logpair.jsonio import to_jsonable
 
 
@@ -26,8 +25,8 @@ def test_plane_big_margin_is_class_square():
     for d, mults in [(3, [1] * 8), (6, [2] * 8), (4, [1, 2, 1])]:
         c = m.plane_class(d, mults + [0] * (8 - len(mults)))
         assert big_margin_p2(d, mults) == m.self_intersection(c)
-    assert is_big_p2(3, [1] * 8)          # margin 1
-    assert not is_big_p2(3, [1] * 9)      # margin 0
+    assert big_margin_p2(3, [1] * 8) > 0      # margin 1
+    assert not big_margin_p2(3, [1] * 9) > 0  # margin 0
 
 
 def test_hirzebruch_dimension_bound():
@@ -45,8 +44,8 @@ def test_hirzebruch_big_margin_is_half_square():
         c = m.ruled_class(a, b, mults + [0] * (4 - len(mults)))
         assert (big_margin_hirzebruch(a, b, 3, mults)
                 == m.self_intersection(c) / 2)
-    assert is_big_hirzebruch(2, 1, 3, [1] * 4)
-    assert not is_big_hirzebruch(1, 0, 0, [])
+    assert big_margin_hirzebruch(2, 1, 3, [1] * 4) > 0
+    assert not big_margin_hirzebruch(1, 0, 0, []) > 0
 
 
 def test_negative_multiplicity_rejected():
