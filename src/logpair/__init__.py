@@ -32,9 +32,7 @@ from .invariants import (EulerBoundReport, InvariantReport, LogInvariants,
                          genus_bound, invariant_report, log_chern,
                          log_genus_rational, main_theorem_predicate,
                          noether_check)
-from .pencil import (FixedPart, PencilResult, analyze_adjoint_system,
-                     big_margin_hirzebruch, big_margin_p2,
-                     dim_lower_bound_hirzebruch, dim_lower_bound_p2)
+from .pencil import FixedPart, PencilResult, analyze_adjoint_system
 from .examples import run_ex2, run_ex3, run_example
 from .search import (FamilyInstance, ConstraintReport, e_window,
                      evaluate_constraints, interval_report_x8_y1,
@@ -50,13 +48,11 @@ __all__ = [
     "NoPencilError", "NotDecomposableError", "PencilResult", "Segment",
     "SegmentReport", "SurfaceModel", "TheoremCheck", "Vertex",
     "ZariskiDecomposition", "analyze_adjoint_system", "bark",
-    "big_margin_hirzebruch", "big_margin_p2", "blow_up_transform",
-    "bmy_check", "classify_segments", "dim_lower_bound_hirzebruch",
-    "dim_lower_bound_p2", "e_window", "euler_bound_check",
-    "evaluate_constraints", "genus_bound", "interval_report_x8_y1",
-    "invariant_report", "log_chern", "log_genus_rational",
-    "main_theorem_predicate", "noether_check", "reduced_bounds_x8_y1",
-    "run_ex2", "run_ex3", "run_example", "run_search",
-    "sharp_boundary_class", "sharp_orthogonality_check",
+    "blow_up_transform", "bmy_check", "classify_segments", "e_window",
+    "euler_bound_check", "evaluate_constraints", "genus_bound",
+    "interval_report_x8_y1", "invariant_report", "log_chern",
+    "log_genus_rational", "main_theorem_predicate", "noether_check",
+    "reduced_bounds_x8_y1", "run_ex2", "run_ex3", "run_example",
+    "run_search", "sharp_boundary_class", "sharp_orthogonality_check",
     "verify_decomposition", "zariski_decompose", "__version__",
 ]

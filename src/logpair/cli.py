@@ -148,9 +148,10 @@ def _search_table(result: dict) -> str:
     rows = []
     for r in result["rows"]:
         q = r["inequalities"]
-        rows.append([r["g"], r["e"], r["x"], r["y"], r["a"], r["k"],
-                     q["dim_positive"], q["big"], q["effective"],
-                     q["fixed_part"], r["feasible"]])
+        rows.append([_scalar(v) for v in (
+            r["g"], r["e"], r["x"], r["y"], r["a"], r["k"],
+            q["dim_positive"], q["big"], q["effective"], q["fixed_part"],
+            r["feasible"])])
     out = render_table(headers, rows)
     ref = result["reference_claim"]
     out += (f"\nrows: {result['row_count']}, feasible: "

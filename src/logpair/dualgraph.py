@@ -186,10 +186,13 @@ class Segment:
     attach: Optional[str] = None  # twig: the branch vertex it hangs off
     center: Optional[str] = None  # fork only
     branches: tuple[tuple[str, ...], ...] = ()  # fork only, tip first
-    admissible: bool = True
-    reason: Optional[str] = None
+    reason: Optional[str] = None  # why the segment is excluded
     # bark coefficients in vertex order; () on an excluded segment
     coefficients: tuple[Fraction, ...] = ()
+
+    @property
+    def admissible(self) -> bool:
+        return self.reason is None
 
 
 @dataclass
@@ -293,8 +296,7 @@ def _path_order(g: DualGraph, comp: list[str]) -> Optional[list[str]]:
 def _walk_from_tip(g: DualGraph, tip: str) -> Segment:
     """Grow a chain from a beta=1 vertex until it attaches or dies."""
     if g.vertex(tip).genus != 0:
-        return Segment("twig", (tip,), admissible=False,
-                       reason=f"{tip} is not rational")
+        return Segment("twig", (tip,), reason=f"{tip} is not rational")
     path = [tip]
     prev = None
     while True:
@@ -302,22 +304,21 @@ def _walk_from_tip(g: DualGraph, tip: str) -> Segment:
         candidates = [w for w in g._adj[cur] if w != prev]
         if not candidates:
             # cannot happen for a tip inside a non-path component
-            return Segment("twig", tuple(path), admissible=False,
+            return Segment("twig", tuple(path),
                            reason="chain never reaches a branch vertex")
         nxt = candidates[0]
         if g._adj[cur][nxt] != 1:
-            return Segment("twig", tuple(path), attach=nxt, admissible=False,
+            return Segment("twig", tuple(path), attach=nxt,
                            reason=f"edge {cur}-{nxt} has multiplicity "
                                   f"{g._adj[cur][nxt]}")
         if g.branching_number(nxt) >= 3:
             reason, coeffs = _admissibility(g, path)
-            return Segment("twig", tuple(path), attach=nxt,
-                           admissible=reason is None, reason=reason,
+            return Segment("twig", tuple(path), attach=nxt, reason=reason,
                            coefficients=coeffs)
         if _chain_eligible(g, nxt) and g.branching_number(nxt) == 2:
             prev, path = cur, path + [nxt]
             continue
-        return Segment("twig", tuple(path), attach=nxt, admissible=False,
+        return Segment("twig", tuple(path), attach=nxt,
                        reason=f"attachment {nxt} is not a branch vertex")
 
 
@@ -338,8 +339,7 @@ def classify_segments(g: DualGraph) -> SegmentReport:
                    for v, w in zip(path, path[1:])):
                 reason, coeffs = _admissibility(g, path)
                 report.segments.append(
-                    Segment("rod", tuple(path),
-                            admissible=reason is None, reason=reason,
+                    Segment("rod", tuple(path), reason=reason,
                             coefficients=coeffs))
                 continue
             # path-shaped but with a multiple edge: fall through and let
@@ -373,8 +373,8 @@ def classify_segments(g: DualGraph) -> SegmentReport:
                 coeffs = ()
             report.segments.append(
                 Segment("fork", tuple(comp), center=center,
-                        branches=tuple(branches), admissible=reason is None,
-                        reason=reason, coefficients=coeffs))
+                        branches=tuple(branches), reason=reason,
+                        coefficients=coeffs))
             if reason is None or bad:
                 continue  # a star demoted by its coefficients offers no twigs
             # any other inadmissible star still offers its branches as twigs

@@ -269,18 +269,12 @@ def run_manifest(command: Sequence[str], input_paths: Sequence[str],
     }
 
 
-def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Aligned plain-text table; numeric-looking cells right-align."""
-    def cell(v) -> str:
-        if isinstance(v, Fraction):
-            return str(encode_rational(v))
-        if isinstance(v, bool):
-            return "yes" if v else "no"
-        return str(v)
-
-    grid = [[cell(v) for v in row] for row in rows]
+def render_table(headers: Sequence[str],
+                 rows: Sequence[Sequence[str]]) -> str:
+    """Aligned plain-text table of string cells; numeric-looking cells
+    right-align."""
     widths = [len(h) for h in headers]
-    for row in grid:
+    for row in rows:
         if len(row) != len(headers):
             raise InputError("table row width mismatch")
         for i, v in enumerate(row):
@@ -292,7 +286,7 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = ["  ".join(h.ljust(widths[i])
                        for i, h in enumerate(headers)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
-    for row in grid:
+    for row in rows:
         out = []
         for i, v in enumerate(row):
             out.append(v.rjust(widths[i]) if is_num(v) else v.ljust(widths[i]))

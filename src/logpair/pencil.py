@@ -1,6 +1,8 @@
-"""Adjoint linear systems: dimension bounds, bigness tests, and the
+"""Adjoint linear systems: bigness margins, dimension counts, and the
 extraction of a fiber pencil from the adjoint class.
 
+Both counts are read off the lattice: the margin is c^2 (half of it on
+a ruled model) and the dimension count is Riemann-Roch, c.(c - K)/2.
 The fixed parts subtracted here are caller-supplied candidate classes
 that are taken to be effective.  Dimension counts are reported for
 context only; a genuinely effective fixed component can sit in a
@@ -21,49 +23,6 @@ from .lattice import DivisorClass, ModelKind, SurfaceModel
 _MAX_ROUNDS = 1000
 
 
-def _check_mults(mults: Sequence[int]) -> list[int]:
-    out = []
-    for v in mults:
-        if not isinstance(v, int) or v < 0:
-            raise InputError("point multiplicities must be integers >= 0")
-        out.append(v)
-    return out
-
-
-def dim_lower_bound_p2(degree: int, mults: Sequence[int]) -> Fraction:
-    """Parameter count minus imposed conditions for plane curves of the
-    given degree with assigned point multiplicities:
-    d(d+3)/2 - sum nu(nu+1)/2."""
-    ms = _check_mults(mults)
-    return Fraction(degree * (degree + 3) - sum(v * (v + 1) for v in ms), 2)
-
-
-def big_margin_p2(degree: int, mults: Sequence[int]) -> Fraction:
-    # self-intersection of the transformed class; > 0 plus effectivity
-    # is the bigness certificate
-    ms = _check_mults(mults)
-    return Fraction(degree * degree - sum(v * v for v in ms))
-
-
-def dim_lower_bound_hirzebruch(
-    a: int, b: int, e: int, mults: Sequence[int],
-) -> Fraction:
-    """Same count on a ruled-surface model for a*Dinf + b*Gamma:
-    (a+1)(b + ae/2) + a - sum nu(nu+1)/2."""
-    ms = _check_mults(mults)
-    return ((a + 1) * (b + Fraction(a * e, 2)) + a
-            - Fraction(sum(v * (v + 1) for v in ms), 2))
-
-
-def big_margin_hirzebruch(
-    a: int, b: int, e: int, mults: Sequence[int],
-) -> Fraction:
-    # equals half the self-intersection of the transformed class
-    ms = _check_mults(mults)
-    return (a * (b + Fraction(a * e, 2))
-            - Fraction(sum(v * v for v in ms), 2))
-
-
 @dataclass(frozen=True)
 class FixedPart:
     cls: DivisorClass = field(metadata={"json": "class"})
@@ -74,7 +33,7 @@ class FixedPart:
 @dataclass(frozen=True)
 class PencilResult:
     adjoint: DivisorClass
-    big: Optional[bool]          # None when the model has no closed form
+    big: Optional[bool]          # None where the margin is None
     big_margin: Optional[Fraction]
     fixed_parts: tuple[FixedPart, ...]
     residual: DivisorClass       # adjoint minus the fixed parts
@@ -85,53 +44,25 @@ class PencilResult:
     b: int                       # base curve genus; 0 for these models
 
 
-def _class_profile(model: SurfaceModel, c: DivisorClass):
-    """Split a class into (leading degrees, point multiplicities) when
-    the model kind has a closed-form dimension count.
+def _counts(model: SurfaceModel, c: DivisorClass) -> tuple[
+        Optional[Fraction], Optional[Fraction]]:
+    """(bigness margin, dimension count) of a class, read off the lattice.
 
-    None when it has none: a custom model, a non-integral class, or a
-    negative multiplicity.  The closed forms assume assigned base
+    The count is Riemann-Roch, chi(c) - 1 = c.(c - K)/2, and the margin
+    is c^2, halved on a ruled model.  Both are (None, None) on a custom
+    model, for a non-integral class and for a class with a positive
+    exceptional coefficient: the counts assume assigned base
     multiplicities, so excess classes fall outside them.
     """
-    if model.kind is ModelKind.P2_BLOWUP:
-        lead = 1
-    elif model.kind is ModelKind.HIRZEBRUCH:
-        lead = 2
-    else:
-        return None
-    if c.den != 1:
-        return None
-    mults = [-v for v in c.nums[lead:]]
-    if any(v < 0 for v in mults):
-        return None
-    return c.nums[:lead], mults
-
-
-def bigness_of(model: SurfaceModel, c: DivisorClass) -> tuple[
-        Optional[bool], Optional[Fraction]]:
-    """(is_big, margin) via the closed-form tests, when available."""
-    prof = _class_profile(model, c)
-    if prof is None:
+    if model.kind is ModelKind.CUSTOM or c.den != 1:
         return None, None
-    degs, mults = prof
-    if model.kind is ModelKind.P2_BLOWUP:
-        margin = big_margin_p2(degs[0], mults)
-    else:
-        margin = big_margin_hirzebruch(
-            degs[0], degs[1], model.degree_e, mults)
-    return margin > 0, margin
-
-
-def dim_bound_of(model: SurfaceModel,
-                 c: DivisorClass) -> Optional[Fraction]:
-    prof = _class_profile(model, c)
-    if prof is None:
-        return None
-    degs, mults = prof
-    if model.kind is ModelKind.P2_BLOWUP:
-        return dim_lower_bound_p2(degs[0], mults)
-    return dim_lower_bound_hirzebruch(
-        degs[0], degs[1], model.degree_e, mults)
+    if any(v > 0 for v in c.nums[model.basis_size - model.num_points:]):
+        return None, None
+    square = model.self_intersection(c)
+    count = (square - model.intersect(c, model.canonical_class())) / 2
+    if model.kind is ModelKind.HIRZEBRUCH:
+        return square / 2, count
+    return square, count
 
 
 def _integer_content(c: DivisorClass) -> int:
@@ -157,7 +88,7 @@ def analyze_adjoint_system(
     """
     if adjoint is None:
         adjoint = model.canonical_class() + boundary
-    big, margin = bigness_of(model, adjoint)
+    margin = _counts(model, adjoint)[0]
     current = adjoint
     fixed: list[FixedPart] = []
     for _ in range(_MAX_ROUNDS):
@@ -170,7 +101,7 @@ def analyze_adjoint_system(
                 break
         if hit is None:
             break
-        fixed.append(FixedPart(hit, pairing, dim_bound_of(model, hit)))
+        fixed.append(FixedPart(hit, pairing, _counts(model, hit)[1]))
         current = current - hit
     else:
         raise InputError(
@@ -191,7 +122,7 @@ def analyze_adjoint_system(
         raise NoPencilError("boundary pairing with the fiber is not integral")
     return PencilResult(
         adjoint=adjoint,
-        big=big,
+        big=None if margin is None else margin > 0,
         big_margin=margin,
         fixed_parts=tuple(fixed),
         residual=current,

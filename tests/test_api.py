@@ -1,4 +1,5 @@
-"""Public API guard: every exported name is in use inside the package.
+"""Public API guard: every exported name is in use inside the package,
+and no module imports a name it never reads.
 
 A name in `logpair.__all__` that no module of the package reads is a
 library-only wrapper; it should either feed a report or be deleted.
@@ -12,6 +13,7 @@ import pathlib
 import logpair
 
 PACKAGE = pathlib.Path(logpair.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 # kept without a caller in the package: the residual re-check of the
 # bark is an oracle, independent of the solve it checks, so only the
@@ -49,3 +51,31 @@ def test_every_export_is_used_in_the_package():
     # the exception stays honest: it is exported and still unreferenced
     assert UNREFERENCED_BY_DESIGN <= set(logpair.__all__)
     assert not UNREFERENCED_BY_DESIGN & refs
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Names the module imports but never reads as a name.  An import
+    statement carrying `# noqa: F401` is kept on purpose."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    imported = {}
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if (getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line for line in
+                           lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+    return [f"{path.name}:{line} {name}"
+            for name, line in sorted(imported.items()) if name not in reads]
+
+
+def test_no_unused_imports():
+    paths = [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
+    assert [u for p in paths for u in _unused_imports(p)] == []

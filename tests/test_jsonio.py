@@ -183,7 +183,7 @@ def test_run_manifest_and_digest(tmp_path):
 
 def test_render_table_alignment():
     out = render_table(["name", "value"],
-                       [["alpha", Fraction(1, 2)], ["b", 10], ["c", True]])
+                       [["alpha", "1/2"], ["b", "10"], ["c", "yes"]])
     lines = out.splitlines()
     assert lines[0].split() == ["name", "value"]
     assert set(lines[1]) <= {"-", " "}
@@ -197,9 +197,9 @@ def test_render_table_lines_have_no_trailing_space():
     # a value wider than its header must not pad the header line
     for headers, rows in [
             (["field", "value"], [["adjoint", "[6, -1, -1, -1]"],
-                                  ["g", 2], ["big", False]]),
-            (["g", "note", "ok"], [[10, "a long note", True],
-                                   [Fraction(-7, 2), "", False]])]:
+                                  ["g", "2"], ["big", "no"]]),
+            (["g", "note", "ok"], [["10", "a long note", "yes"],
+                                   ["-7/2", "", "no"]])]:
         out = render_table(headers, rows)
         assert out.endswith("\n")
         for line in out.splitlines():

@@ -1,59 +1,124 @@
-"""Adjoint system analysis: dimension bounds, bigness, fiber extraction."""
+"""Adjoint system analysis: dimension counts, bigness, fiber extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from logpair import (NoPencilError, SurfaceModel, analyze_adjoint_system,
-                     big_margin_hirzebruch, big_margin_p2,
-                     dim_lower_bound_hirzebruch, dim_lower_bound_p2)
+from logpair import (InputError, NoPencilError, SurfaceModel,
+                     analyze_adjoint_system, pencil)
 from logpair.jsonio import to_jsonable
 
 
-def test_plane_dimension_bound():
-    # plane curves of degree d: d(d+3)/2 minus mult conditions
-    assert dim_lower_bound_p2(3, []) == 9
-    assert dim_lower_bound_p2(3, [1] * 8) == 1
-    assert dim_lower_bound_p2(6, [2] * 8) == 27 - 24
-    assert dim_lower_bound_p2(1, [1, 1]) == 0
-    # double point costs 3 conditions
-    assert dim_lower_bound_p2(2, [2]) == 5 - 3
+def _parameter_counts(kind, e, degs, mults):
+    """(margin, count) by the classical parameter counts, or (None, None)
+    for a negative multiplicity, which they do not cover."""
+    if any(v < 0 for v in mults):
+        return None, None
+    if kind == "p2":
+        (d,) = degs
+        return (d * d - sum(v * v for v in mults),
+                Fraction(d * (d + 3) - sum(v * (v + 1) for v in mults), 2))
+    a, b = degs
+    fiber_degree = b + Fraction(a * e, 2)
+    return (a * fiber_degree - Fraction(sum(v * v for v in mults), 2),
+            (a + 1) * fiber_degree + a
+            - Fraction(sum(v * (v + 1) for v in mults), 2))
 
 
-def test_plane_big_margin_is_class_square():
-    m = SurfaceModel.plane_blowup(8)
-    for d, mults in [(3, [1] * 8), (6, [2] * 8), (4, [1, 2, 1])]:
-        c = m.plane_class(d, mults + [0] * (8 - len(mults)))
-        assert big_margin_p2(d, mults) == m.self_intersection(c)
-    assert big_margin_p2(3, [1] * 8) > 0      # margin 1
-    assert not big_margin_p2(3, [1] * 9) > 0  # margin 0
+def _draw(rng):
+    """A random integral class with nonnegative multiplicities on a
+    plane or ruled blow-up, with the data the formulas read."""
+    n = rng.randint(1, 8)
+    mults = [rng.randint(0, 4) for _ in range(n)]
+    if rng.random() < 0.5:
+        m = SurfaceModel.plane_blowup(n)
+        degs = (rng.randint(0, 9),)
+        return m, "p2", 0, degs, mults, m.plane_class(degs[0], mults)
+    e = rng.randint(0, 4)
+    m = SurfaceModel.hirzebruch(e, n)
+    degs = (rng.randint(0, 5), rng.randint(-e, 6))
+    return m, "ruled", e, degs, mults, m.ruled_class(*degs, mults)
 
 
-def test_hirzebruch_dimension_bound():
-    # sections of a*Dinf + b*Gamma on the degree-e surface:
-    # (a+1)(b + ae/2) + a when b >= 0
-    assert dim_lower_bound_hirzebruch(1, 0, 2, []) == 2 + 1
-    assert dim_lower_bound_hirzebruch(2, 1, 2, []) == 3 * 3 + 2
-    assert dim_lower_bound_hirzebruch(2, 1, 2, [1, 1]) == 11 - 2
-    assert dim_lower_bound_hirzebruch(2, 1, 2, [2]) == 11 - 3
+def test_counts_match_the_parameter_counts():
+    rng = random.Random(9011)
+    reported = []
+    for _ in range(1500):
+        m, kind, e, degs, mults, x = _draw(rng)
+        expected = _parameter_counts(kind, e, degs, mults)
+        assert pencil._counts(m, x) == expected
+        # a negative-square class is a fixed part of x + t*F for a
+        # square-zero F it does not meet negatively and a suitable t;
+        # the analysis then reports both counts
+        square = m.self_intersection(x)
+        if square >= 0:
+            continue
+        if kind == "p2":
+            fiber, meet = m.plane_class(1, [1]), degs[0] - mults[0]
+        else:
+            fiber, meet = m.ruled_class(0, 1), degs[0]
+        room = max(1, (-square - 1) // abs(meet)) if meet else 5
+        t = rng.randint(1, room) * (-1 if meet < 0 else 1)
+        if square + t * meet >= 0:
+            continue
+        adjoint = x + t * fiber
+        res = analyze_adjoint_system(m, m.zero(), [x], adjoint=adjoint)
+        assert [f.cls for f in res.fixed_parts] == [x]
+        assert res.fixed_parts[0].dim_bound == expected[1]
+        if kind == "p2":
+            adj_degs = (degs[0] + t,)
+            adj_mults = [mults[0] + t] + mults[1:]
+        else:
+            adj_degs, adj_mults = (degs[0], degs[1] + t), mults
+        margin, _ = _parameter_counts(kind, e, adj_degs, adj_mults)
+        assert res.big_margin == margin
+        assert res.big == (None if margin is None else margin > 0)
+        reported.append(res.big)
+    # about half the draws reach the analysis, with every outcome of big
+    assert len(reported) > 600
+    assert set(reported) == {None, False, True}
+
+    # hand values of the plane and ruled counts
+    p2 = SurfaceModel.plane_blowup(9)
+    for d, mults, count in [(3, [], 9), (3, [1] * 8, 1), (6, [2] * 8, 3),
+                            (1, [1, 1], 0),
+                            (2, [2], 5 - 3)]:  # a double point costs 3
+        assert pencil._counts(p2, p2.plane_class(d, mults))[1] == count
+    assert pencil._counts(p2, p2.plane_class(3, [1] * 8))[0] == 1
+    assert pencil._counts(p2, p2.plane_class(3, [1] * 9))[0] == 0
+    f2 = SurfaceModel.hirzebruch(2, 2)
+    for a, b, mults, count in [(1, 0, [], 2 + 1), (2, 1, [], 3 * 3 + 2),
+                               (2, 1, [1, 1], 11 - 2), (2, 1, [2], 11 - 3)]:
+        assert pencil._counts(f2, f2.ruled_class(a, b, mults))[1] == count
+    f3 = SurfaceModel.hirzebruch(3, 4)
+    for a, b, mults, margin in [(2, 1, [1] * 4, 6), (3, 0, [2, 1], 11),
+                                (1, 2, [], Fraction(7, 2))]:
+        assert pencil._counts(f3, f3.ruled_class(a, b, mults))[0] == margin
+    f0 = SurfaceModel.hirzebruch(0, 0)
+    assert pencil._counts(f0, f0.ruled_class(1, 0))[0] == 0
 
 
-def test_hirzebruch_big_margin_is_half_square():
-    m = SurfaceModel.hirzebruch(3, 4)
-    for a, b, mults in [(2, 1, [1] * 4), (3, 0, [2, 1]), (1, 2, [])]:
-        c = m.ruled_class(a, b, mults + [0] * (4 - len(mults)))
-        assert (big_margin_hirzebruch(a, b, 3, mults)
-                == m.self_intersection(c) / 2)
-    assert big_margin_hirzebruch(2, 1, 3, [1] * 4) > 0
-    assert not big_margin_hirzebruch(1, 0, 0, []) > 0
-
-
-def test_negative_multiplicity_rejected():
-    from logpair import InputError
+def test_counts_are_none_off_the_closed_forms():
+    # a custom model has no counts; the analysis itself stops at the
+    # fiber genus, since the model carries no canonical class
+    custom = SurfaceModel.custom([[0, 1], [1, -2]])
+    fiber = custom.divisor([1, 0])
+    assert pencil._counts(custom, fiber) == (None, None)
     with pytest.raises(InputError):
-        dim_lower_bound_p2(3, [-1])
-    with pytest.raises(InputError):
-        big_margin_hirzebruch(1, 1, 2, [-2])
+        analyze_adjoint_system(custom, custom.zero(), [], adjoint=fiber)
+    m = SurfaceModel.plane_blowup(2)
+    line = m.plane_class(1, [0, 1])
+    for fixed in [
+            Fraction(1, 2) * m.plane_class(1, [1, 1]),  # non-integral
+            m.exceptional(1)]:                           # E1: mult -1
+        res = analyze_adjoint_system(m, m.zero(), [fixed],
+                                     adjoint=line + fixed)
+        assert [f.cls for f in res.fixed_parts] == [fixed]
+        assert res.fiber == line
+        assert res.big is None
+        assert res.big_margin is None
+        assert res.fixed_parts[0].dim_bound is None
 
 
 def test_analyze_sextic_adjoint():

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from logpair import (FamilyInstance, InputError, NoPencilError,
-                     analyze_adjoint_system, evaluate_constraints,
-                     interval_report_x8_y1, reduced_bounds_x8_y1,
-                     run_search)
+from logpair import (FamilyInstance, InputError, analyze_adjoint_system,
+                     evaluate_constraints, interval_report_x8_y1,
+                     reduced_bounds_x8_y1, run_search)
 from logpair.search import (MAX_GRID_POINTS, _grid_points, _linear_forms,
                             e_window)
 
