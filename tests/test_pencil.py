@@ -79,22 +79,45 @@ def test_counts_match_the_parameter_counts():
     assert len(reported) > 600
     assert set(reported) == {None, False, True}
 
-    # hand values of the plane and ruled counts
-    p2 = SurfaceModel.plane_blowup(9)
-    for d, mults, count in [(3, [], 9), (3, [1] * 8, 1), (6, [2] * 8, 3),
+
+def test_plane_dimension_bound():
+    # plane curves of degree d: d(d+3)/2 minus mult conditions
+    m = SurfaceModel.plane_blowup(2)
+    for d, mults, count in [(3, [], 9), (6, [2, 2], 27 - 6),
                             (1, [1, 1], 0),
                             (2, [2], 5 - 3)]:  # a double point costs 3
-        assert pencil._counts(p2, p2.plane_class(d, mults))[1] == count
-    assert pencil._counts(p2, p2.plane_class(3, [1] * 8))[0] == 1
-    assert pencil._counts(p2, p2.plane_class(3, [1] * 9))[0] == 0
-    f2 = SurfaceModel.hirzebruch(2, 2)
+        assert pencil._counts(m, m.plane_class(d, mults))[1] == count
+    m8 = SurfaceModel.plane_blowup(8)
+    assert pencil._counts(m8, m8.plane_class(3, [1] * 8))[1] == 1
+    assert pencil._counts(m8, m8.plane_class(6, [2] * 8))[1] == 27 - 24
+
+
+def test_plane_big_margin_is_class_square():
+    m = SurfaceModel.plane_blowup(8)
+    for d, mults in [(3, [1] * 8), (6, [2] * 8), (4, [1, 2, 1])]:
+        c = m.plane_class(d, mults + [0] * (8 - len(mults)))
+        assert pencil._counts(m, c)[0] == m.self_intersection(c)
+    assert pencil._counts(m, m.plane_class(3, [1] * 8))[0] == 1
+    m9 = SurfaceModel.plane_blowup(9)
+    assert pencil._counts(m9, m9.plane_class(3, [1] * 9))[0] == 0
+
+
+def test_hirzebruch_dimension_bound():
+    # sections of a*Dinf + b*Gamma on the degree-e surface:
+    # (a+1)(b + ae/2) + a when b >= 0
+    m = SurfaceModel.hirzebruch(2, 2)
     for a, b, mults, count in [(1, 0, [], 2 + 1), (2, 1, [], 3 * 3 + 2),
                                (2, 1, [1, 1], 11 - 2), (2, 1, [2], 11 - 3)]:
-        assert pencil._counts(f2, f2.ruled_class(a, b, mults))[1] == count
-    f3 = SurfaceModel.hirzebruch(3, 4)
+        assert pencil._counts(m, m.ruled_class(a, b, mults))[1] == count
+
+
+def test_hirzebruch_big_margin_is_half_square():
+    m = SurfaceModel.hirzebruch(3, 4)
     for a, b, mults, margin in [(2, 1, [1] * 4, 6), (3, 0, [2, 1], 11),
                                 (1, 2, [], Fraction(7, 2))]:
-        assert pencil._counts(f3, f3.ruled_class(a, b, mults))[0] == margin
+        c = m.ruled_class(a, b, mults + [0] * (4 - len(mults)))
+        assert pencil._counts(m, c)[0] == m.self_intersection(c) / 2
+        assert pencil._counts(m, c)[0] == margin
     f0 = SurfaceModel.hirzebruch(0, 0)
     assert pencil._counts(f0, f0.ruled_class(1, 0))[0] == 0
 
