@@ -14,45 +14,52 @@ points are:
 
 Every exported name feeds a report or a check inside the package;
 tests/test_api.py keeps it so.
+
+Importing the package imports none of its submodules: an exported name
+is read from its submodule on first access (PEP 562), so
+``from logpair import bark`` loads the peeling layer and nothing else.
 """
 
-from .errors import (InputError, InternalError, LogPairError,
-                     NoPencilError, NotDecomposableError)
-from .lattice import (DivisorClass, HodgeData, ModelKind, SurfaceModel,
-                      blow_up_transform)
-from .dualgraph import (DualGraph, Edge, Segment, SegmentReport, Vertex,
-                        classify_segments)
-from .peeling import (BarkResult, bark, sharp_boundary_class,
-                      sharp_orthogonality_check)
-from .zariski import (NEF_SCOPE, DecompositionCheck,
-                      ZariskiDecomposition, verify_decomposition,
-                      zariski_decompose)
-from .invariants import (EulerBoundReport, InvariantReport, LogInvariants,
-                         TheoremCheck, bmy_check, euler_bound_check,
-                         genus_bound, invariant_report, log_chern,
-                         log_genus_rational, main_theorem_predicate,
-                         noether_check)
-from .pencil import FixedPart, PencilResult, analyze_adjoint_system
-from .examples import run_ex2, run_ex3, run_example
-from .search import (FamilyInstance, ConstraintReport, e_window,
-                     evaluate_constraints, interval_report_x8_y1,
-                     reduced_bounds_x8_y1, run_search)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarkResult", "ConstraintReport", "DecompositionCheck", "DivisorClass",
-    "DualGraph", "Edge", "EulerBoundReport", "FamilyInstance", "FixedPart",
-    "HodgeData", "InputError", "InternalError", "InvariantReport",
-    "LogInvariants", "LogPairError", "ModelKind", "NEF_SCOPE",
-    "NoPencilError", "NotDecomposableError", "PencilResult", "Segment",
-    "SegmentReport", "SurfaceModel", "TheoremCheck", "Vertex",
-    "ZariskiDecomposition", "analyze_adjoint_system", "bark",
-    "blow_up_transform", "bmy_check", "classify_segments", "e_window",
-    "euler_bound_check", "evaluate_constraints", "genus_bound",
-    "interval_report_x8_y1", "invariant_report", "log_chern",
-    "log_genus_rational", "main_theorem_predicate", "noether_check",
-    "reduced_bounds_x8_y1", "run_ex2", "run_ex3", "run_example",
-    "run_search", "sharp_boundary_class", "sharp_orthogonality_check",
-    "verify_decomposition", "zariski_decompose", "__version__",
-]
+# submodule -> the names it exports
+_EXPORTS = {
+    "errors": ("InputError", "InternalError", "LogPairError",
+               "NoPencilError", "NotDecomposableError"),
+    "lattice": ("DivisorClass", "HodgeData", "ModelKind", "SurfaceModel",
+                "blow_up_transform"),
+    "dualgraph": ("DualGraph", "Edge", "Segment", "SegmentReport", "Vertex",
+                  "classify_segments"),
+    "peeling": ("BarkResult", "bark", "sharp_boundary_class",
+                "sharp_orthogonality_check"),
+    "zariski": ("NEF_SCOPE", "DecompositionCheck", "ZariskiDecomposition",
+                "verify_decomposition", "zariski_decompose"),
+    "invariants": ("EulerBoundReport", "InvariantReport", "LogInvariants",
+                   "TheoremCheck", "bmy_check", "euler_bound_check",
+                   "genus_bound", "invariant_report", "log_chern",
+                   "log_genus_rational", "main_theorem_predicate",
+                   "noether_check"),
+    "pencil": ("FixedPart", "PencilResult", "analyze_adjoint_system"),
+    "examples": ("run_ex2", "run_ex3", "run_example"),
+    "search": ("FamilyInstance", "ConstraintReport", "e_window",
+               "evaluate_constraints", "interval_report_x8_y1",
+               "reduced_bounds_x8_y1", "run_search"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    # not cached here: a binding copied into the package would outlive a
+    # later patch of the submodule, so every access reads the submodule
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -4,6 +4,11 @@ Subcommands: peel, zariski, invariants, pencil, example, search,
 selftest.  Output is canonical JSON by default or an aligned text
 table with --format table.  Exit codes: 0 on success, 1 on input
 errors (including argument errors), 2 on internal failures.
+
+Start-up loads only the core every command shares: jsonio, through
+which each report is read and written (it loads the lattice, dualgraph
+and linalg layers), and peeling, which is all `peel` adds.  Every
+other layer is imported inside the branch that runs it.
 """
 
 from __future__ import annotations
@@ -14,16 +19,10 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import InputError, InternalError
-from .examples import run_example
-from .invariants import invariant_report
 from .jsonio import (dumps, load_classes, load_graph, load_model,
                      parse_class_arg, render_table, run_manifest,
                      to_jsonable)
 from .peeling import bark
-from .pencil import analyze_adjoint_system
-from .search import run_search
-from .selftest import run_all
-from .zariski import verify_decomposition, zariski_decompose
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,6 +209,7 @@ def _report(args) -> tuple[object, list[str]]:
         }, [args.graph]
 
     if args.command == "zariski":
+        from .zariski import verify_decomposition, zariski_decompose
         model = load_model(args.model)
         cls = parse_class_arg(args.cls, model)
         candidates = load_classes(args.candidates, model)
@@ -221,6 +221,7 @@ def _report(args) -> tuple[object, list[str]]:
         }, [args.model, args.candidates]
 
     if args.command == "invariants":
+        from .invariants import invariant_report
         model = load_model(args.model)
         graph = load_graph(args.graph)
         rep = invariant_report(model, parse_class_arg(args.cls, model),
@@ -242,6 +243,7 @@ def _report(args) -> tuple[object, list[str]]:
         }, [args.model, args.graph]
 
     if args.command == "pencil":
+        from .pencil import analyze_adjoint_system
         model = load_model(args.model)
         boundary = parse_class_arg(args.divisor, model)
         candidates = load_classes(args.candidates, model)
@@ -249,9 +251,11 @@ def _report(args) -> tuple[object, list[str]]:
                 [args.model, args.candidates])
 
     if args.command == "example":
+        from .examples import run_example
         return run_example(args.name, args.a), []
 
     if args.command == "search":
+        from .search import run_search
         return run_search(_span(args.g, "g"), _span(args.x, "x"),
                           _span(args.y, "y")), []
 
@@ -259,6 +263,7 @@ def _report(args) -> tuple[object, list[str]]:
 
 
 def _selftest(args) -> tuple[str, int]:
+    from .selftest import run_all
     results = run_all(only=args.criterion)
     if not results:
         raise InputError("no matching criterion")

@@ -22,8 +22,12 @@ from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
 from .invariants import invariant_report
 from .lattice import DivisorClass, SurfaceModel
-from .pencil import analyze_adjoint_system
-from .zariski import zariski_decompose
+# zariski and pencil through the module, for the reason given in
+# zariski.py
+from . import pencil, zariski
+# bench/test_bench.py reads logpair.examples.analyze_adjoint_system;
+# keep the binding
+from .pencil import analyze_adjoint_system  # noqa: F401
 
 # the report grows linearly in a (about 280 bytes of JSON per unit);
 # larger values are refused before any model is built
@@ -78,9 +82,10 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
                  candidates: list[DivisorClass]) -> dict:
     rep = invariant_report(model, boundary, graph)
     bk = rep.bark
-    z = zariski_decompose(model, model.canonical_class() + boundary,
-                          list(graph.class_map.values())
-                          if graph.class_map else [])
+    z = zariski.zariski_decompose(model,
+                                  model.canonical_class() + boundary,
+                                  list(graph.class_map.values())
+                                  if graph.class_map else [])
     return {
         "model": model.describe(),
         "boundary": boundary,
@@ -111,7 +116,7 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
             "support": z.support,
             "nef_scope": z.nef_scope,
         },
-        "pencil": analyze_adjoint_system(model, boundary, candidates),
+        "pencil": pencil.analyze_adjoint_system(model, boundary, candidates),
     }
 
 

@@ -14,7 +14,9 @@ from typing import Optional
 from .dualgraph import DualGraph
 from .errors import InputError, InternalError
 from .lattice import DivisorClass, HodgeData, SurfaceModel
-from .peeling import BarkResult, bark
+from .peeling import BarkResult
+# bark through the module, for the reason given in zariski.py
+from . import peeling
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def invariant_report(
     """
     inv = log_chern(model, boundary, graph)
     d_sq = model.self_intersection(boundary)
-    bk = bark(graph)
+    bk = peeling.bark(graph)
     p_sq = inv.c1bar_sq - bk.gram_square
     return InvariantReport(
         invariants=inv,

@@ -9,7 +9,6 @@ newline) so identical inputs give byte-identical outputs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import fields, is_dataclass
@@ -248,6 +247,7 @@ def load_classes(path: str,
 
 
 def sha256_file(path: str) -> str:
+    import hashlib  # only --manifest hashes, so start-up skips it
     h = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
@@ -260,6 +260,7 @@ def sha256_file(path: str) -> str:
 
 def run_manifest(command: Sequence[str], input_paths: Sequence[str],
                  output_text: str, version: str) -> dict:
+    import hashlib
     return {
         "command": list(command),
         "inputs": {p: sha256_file(p) for p in input_paths},

@@ -33,7 +33,9 @@ class FixedPart:
 @dataclass(frozen=True)
 class PencilResult:
     adjoint: DivisorClass
-    big: Optional[bool]          # None where the margin is None
+    # None with the margin: a non-integral adjoint, or one with a
+    # positive exceptional coefficient
+    big: Optional[bool]
     big_margin: Optional[Fraction]
     fixed_parts: tuple[FixedPart, ...]
     residual: DivisorClass       # adjoint minus the fixed parts
@@ -49,12 +51,13 @@ def _counts(model: SurfaceModel, c: DivisorClass) -> tuple[
     """(bigness margin, dimension count) of a class, read off the lattice.
 
     The count is Riemann-Roch, chi(c) - 1 = c.(c - K)/2, and the margin
-    is c^2, halved on a ruled model.  Both are (None, None) on a custom
-    model, for a non-integral class and for a class with a positive
-    exceptional coefficient: the counts assume assigned base
-    multiplicities, so excess classes fall outside them.
+    is c^2, halved on a ruled model.  Both are (None, None) for a
+    non-integral class and for a class with a positive exceptional
+    coefficient: the counts assume assigned base multiplicities, so
+    excess classes fall outside them.  A custom model has no canonical
+    class, so an integral class on one raises InputError here.
     """
-    if model.kind is ModelKind.CUSTOM or c.den != 1:
+    if c.den != 1:
         return None, None
     if any(v > 0 for v in c.nums[model.basis_size - model.num_points:]):
         return None, None

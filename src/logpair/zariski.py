@@ -15,7 +15,10 @@ from typing import Sequence
 
 from .errors import InputError, NotDecomposableError
 from .lattice import DivisorClass, SurfaceModel
-from .linalg import is_negative_definite, solve_linear
+# linalg is read through the module: this module may be imported first
+# while the linalg functions are patched (bench/tracing.py does so), and
+# a name bound then would keep the patch
+from . import linalg
 
 NEF_SCOPE = "relative to the supplied candidate set only"
 
@@ -61,7 +64,7 @@ def zariski_decompose(
         if active:
             gram = [[model.intersect(cands[i], cands[j]) for j in active]
                     for i in active]
-            coeffs = solve_linear(gram, [pairings[i] for i in active])
+            coeffs = linalg.solve_linear(gram, [pairings[i] for i in active])
             if coeffs is None:
                 raise NotDecomposableError(
                     "support Gram matrix is not negative definite")
@@ -127,7 +130,7 @@ def verify_decomposition(
         sum_matches=(z.positive + z.negative == x),
         coefficients_nonnegative=all(a >= 0 for a in z.coefficients),
         support_negative_definite=(not support_classes
-                                   or is_negative_definite(gram)),
+                                   or linalg.is_negative_definite(gram)),
         positive_orthogonal_to_support=all(
             model.intersect(z.positive, c) == 0 for c in support_classes),
         positive_nonnegative_on_candidates=all(

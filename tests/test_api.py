@@ -10,6 +10,8 @@ never used does not count.
 import ast
 import pathlib
 
+import pytest
+
 import logpair
 
 PACKAGE = pathlib.Path(logpair.__file__).resolve().parent
@@ -41,6 +43,13 @@ def test_exports_resolve_and_are_unique():
     assert len(logpair.__all__) == len(set(logpair.__all__))
     for name in logpair.__all__:
         assert hasattr(logpair, name), name
+
+
+def test_unknown_name_is_attribute_error():
+    # exports resolve on first access; any other name is still missing
+    assert not hasattr(logpair, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        logpair.no_such_name
 
 
 def test_every_export_is_used_in_the_package():
@@ -76,6 +85,5 @@ def _unused_imports(path: pathlib.Path) -> list:
 
 
 def test_no_unused_imports():
-    paths = [p for p in sorted(PACKAGE.glob("*.py"))
-             if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert [u for p in paths for u in _unused_imports(p)] == []

@@ -1,11 +1,16 @@
-"""Command-line surface: exit codes, wire formats, reproducibility."""
+"""Command-line surface: exit codes, wire formats, reproducibility,
+and the layers each command imports."""
 
+import ast
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import time
+
+import pytest
 
 from logpair.cli import main
 from logpair.examples import MAX_EX3_A
@@ -303,3 +308,98 @@ def test_oversized_candidate_file_is_input_error(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert f"has {MAX_CANDIDATES + 1} classes; the limit is" in err
+
+
+# Start-up import map, read in fresh interpreters: `-I` keeps the
+# user's site and PYTHONPATH out, so the source directory comes in as
+# the first argument.
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+CORE = {"logpair", "logpair.cli", "logpair.errors", "logpair.jsonio",
+        "logpair.lattice", "logpair.dualgraph", "logpair.linalg",
+        "logpair.peeling"}
+
+IMPORT_MAP = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+bare = set(sys.modules)
+import logpair.cli
+core = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = logpair.cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+after = set(sys.modules)
+print(code, sorted(core - bare), sorted(after - core), sep="\\n")
+"""
+
+
+def _import_map(*argv) -> tuple[set, set]:
+    """(modules `import logpair.cli` adds, modules the command adds)."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_MAP, SRC, *argv],
+        capture_output=True, text=True, check=True)
+    code, startup, command = proc.stdout.splitlines()
+    assert code == "0", proc.stderr
+    return set(ast.literal_eval(startup)), set(ast.literal_eval(command))
+
+
+def test_startup_loads_only_the_shared_core():
+    startup, _ = _import_map()
+    assert {m for m in startup if m.startswith("logpair")} == CORE
+    assert "hashlib" not in startup
+
+
+@pytest.mark.parametrize("argv,added", [
+    (["peel", f"{FIXTURES}/sextic_graph.json"], set()),
+    (["search", "ex4", "--g", "10:10", "--x", "8:8", "--y", "1:1"],
+     {"logpair.search"}),
+    (["peel", f"{FIXTURES}/sextic_graph.json", "--manifest", os.devnull],
+     {"hashlib"}),
+], ids=["peel", "search", "manifest"])
+def test_command_loads_only_its_layer(argv, added):
+    _, command = _import_map(*argv)
+    assert {m for m in command
+            if m.startswith("logpair") or m == "hashlib"} == added
+
+
+# A layer imported while another layer's function is replaced (a tracer
+# wrapping it, say) must not keep the replacement once it is put back:
+# deferred layers read traced functions through their module.
+STALE_BINDING = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import logpair.cli as cli
+from logpair import linalg, peeling
+calls = []
+
+def counting(fn):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+originals = [(linalg, "solve_linear"), (linalg, "is_negative_definite"),
+             (peeling, "bark")]
+originals = [(m, n, getattr(m, n)) for m, n in originals]
+for module, name, fn in originals:
+    setattr(module, name, counting(fn))
+import logpair.examples
+for module, name, fn in originals:
+    setattr(module, name, fn)
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[2]):
+        codes.append(cli.main(argv))
+print(codes, sorted(set(calls)), sep="\\n")
+"""
+
+
+def test_deferred_import_keeps_no_patched_binding():
+    zariski = ["zariski", f"{FIXTURES}/one_point_model.json", "--class",
+               "1,2", "--candidates", f"{FIXTURES}/one_point_candidates.json"]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", STALE_BINDING, SRC,
+         json.dumps([["example", "run", "ex2"], zariski])],
+        capture_output=True, text=True, check=True)
+    codes, called = proc.stdout.splitlines()
+    assert codes == "[0, 0]", proc.stderr
+    assert called == "[]"

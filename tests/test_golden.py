@@ -22,7 +22,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-import logpair.cli
+import logpair.selftest
 from logpair.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -117,7 +117,8 @@ def test_golden_selftest(monkeypatch, selftest_results):
         assert only is None
         return selftest_results
 
-    monkeypatch.setattr(logpair.cli, "run_all", run_all)
+    # the subcommand imports run_all from logpair.selftest when it runs
+    monkeypatch.setattr(logpair.selftest, "run_all", run_all)
     assert _selftest_masked() == (GOLDEN / "selftest.txt").read_bytes()
 
 

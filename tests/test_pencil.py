@@ -123,12 +123,13 @@ def test_hirzebruch_big_margin_is_half_square():
 
 
 def test_counts_are_none_off_the_closed_forms():
-    # a custom model has no counts; the analysis itself stops at the
-    # fiber genus, since the model carries no canonical class
+    # a custom model carries no canonical class, so the counts and the
+    # analysis both end in the same input error
     custom = SurfaceModel.custom([[0, 1], [1, -2]])
     fiber = custom.divisor([1, 0])
-    assert pencil._counts(custom, fiber) == (None, None)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="no canonical class"):
+        pencil._counts(custom, fiber)
+    with pytest.raises(InputError, match="no canonical class"):
         analyze_adjoint_system(custom, custom.zero(), [], adjoint=fiber)
     m = SurfaceModel.plane_blowup(2)
     line = m.plane_class(1, [0, 1])
