@@ -32,8 +32,7 @@ _EXPORTS = {
                 "blow_up_transform"),
     "dualgraph": ("DualGraph", "Edge", "Segment", "SegmentReport", "Vertex",
                   "classify_segments"),
-    "peeling": ("BarkResult", "bark", "sharp_boundary_class",
-                "sharp_orthogonality_check"),
+    "peeling": ("BarkResult", "bark"),
     "zariski": ("NEF_SCOPE", "DecompositionCheck", "ZariskiDecomposition",
                 "verify_decomposition", "zariski_decompose"),
     "invariants": ("EulerBoundReport", "InvariantReport", "LogInvariants",

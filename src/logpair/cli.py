@@ -46,12 +46,27 @@ def _span(text: str, name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The `logpair` parser.  Every subcommand is registered with its
+    help text; when `command` names one, only that one gets its
+    arguments, and any other `command`, None included, gives all of them
+    theirs.  `main` passes argv[0], so a run builds the arguments it
+    parses and nothing more."""
     p = _Parser(prog="logpair",
                 description="exact intersection-theory toolkit for "
                             "boundary pairs on rational surface models")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, text in (
+        ("peel", "bark of a dual graph"),
+        ("zariski", "decompose a class against candidate curves"),
+        ("invariants", "log invariants and identity checks"),
+        ("pencil", "adjoint system analysis"),
+        ("example", "run a bundled configuration"),
+        ("search", "inequality grid search"),
+        ("selftest", "run the acceptance checks"))}
+    if command in parsers:
+        parsers = {command: parsers[command]}
 
     def common(sp):
         sp.add_argument("--format", choices=["json", "table"],
@@ -59,55 +74,53 @@ def build_parser() -> _Parser:
         sp.add_argument("--manifest", metavar="PATH",
                         help="write a reproducibility manifest here")
 
-    sp = sub.add_parser("peel", parents=[], help="bark of a dual graph")
-    sp.add_argument("graph", help="dual graph JSON file")
-    common(sp)
+    if sp := parsers.get("peel"):
+        sp.add_argument("graph", help="dual graph JSON file")
+        common(sp)
 
-    sp = sub.add_parser("zariski", help="decompose a class against "
-                                        "candidate curves")
-    sp.add_argument("model", help="surface model JSON file")
-    sp.add_argument("--class", dest="cls", required=True,
-                    help="comma-separated coefficients")
-    sp.add_argument("--candidates", required=True,
-                    help="JSON file with an array of candidate classes")
-    common(sp)
+    if sp := parsers.get("zariski"):
+        sp.add_argument("model", help="surface model JSON file")
+        sp.add_argument("--class", dest="cls", required=True,
+                        help="comma-separated coefficients")
+        sp.add_argument("--candidates", required=True,
+                        help="JSON file with an array of candidate classes")
+        common(sp)
 
-    sp = sub.add_parser("invariants", help="log invariants and identity "
-                                           "checks")
-    sp.add_argument("model", help="surface model JSON file")
-    sp.add_argument("graph", help="dual graph JSON file")
-    sp.add_argument("--class", dest="cls", required=True,
-                    help="boundary class, comma-separated")
-    common(sp)
+    if sp := parsers.get("invariants"):
+        sp.add_argument("model", help="surface model JSON file")
+        sp.add_argument("graph", help="dual graph JSON file")
+        sp.add_argument("--class", dest="cls", required=True,
+                        help="boundary class, comma-separated")
+        common(sp)
 
-    sp = sub.add_parser("pencil", help="adjoint system analysis")
-    sp.add_argument("model", help="surface model JSON file")
-    sp.add_argument("--divisor", required=True,
-                    help="boundary class, comma-separated")
-    sp.add_argument("--candidates", required=True,
-                    help="JSON file with fixed-part candidates")
-    common(sp)
+    if sp := parsers.get("pencil"):
+        sp.add_argument("model", help="surface model JSON file")
+        sp.add_argument("--divisor", required=True,
+                        help="boundary class, comma-separated")
+        sp.add_argument("--candidates", required=True,
+                        help="JSON file with fixed-part candidates")
+        common(sp)
 
-    sp = sub.add_parser("example", help="run a bundled configuration")
-    esub = sp.add_subparsers(dest="action", required=True)
-    runp = esub.add_parser("run")
-    runp.add_argument("name", choices=["ex2", "ex3"])
-    runp.add_argument("--a", type=int, default=None,
-                      help="family parameter for ex3 (default 2)")
-    common(runp)
+    if sp := parsers.get("example"):
+        esub = sp.add_subparsers(dest="action", required=True)
+        runp = esub.add_parser("run")
+        runp.add_argument("name", choices=["ex2", "ex3"])
+        runp.add_argument("--a", type=int, default=None,
+                          help="family parameter for ex3 (default 2)")
+        common(runp)
 
-    sp = sub.add_parser("search", help="inequality grid search")
-    sp.add_argument("family", choices=["ex4"])
-    sp.add_argument("--g", required=True, metavar="LO:HI")
-    sp.add_argument("--x", required=True, metavar="LO:HI")
-    sp.add_argument("--y", required=True, metavar="LO:HI")
-    common(sp)
+    if sp := parsers.get("search"):
+        sp.add_argument("family", choices=["ex4"])
+        sp.add_argument("--g", required=True, metavar="LO:HI")
+        sp.add_argument("--x", required=True, metavar="LO:HI")
+        sp.add_argument("--y", required=True, metavar="LO:HI")
+        common(sp)
 
-    sp = sub.add_parser("selftest", help="run the acceptance checks")
-    sp.add_argument("--criterion", type=int, action="append",
-                    default=None, help="run only this criterion "
-                                       "(repeatable)")
-    common(sp)
+    if sp := parsers.get("selftest"):
+        sp.add_argument("--criterion", type=int, action="append",
+                        default=None, help="run only this criterion "
+                                           "(repeatable)")
+        common(sp)
     return p
 
 
@@ -289,15 +302,15 @@ def _run(args) -> tuple[str, int, list[str]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         text, code, inputs = _run(args)
         sys.stdout.write(text)
         manifest_path = getattr(args, "manifest", None)
         if manifest_path:
-            cmd = list(sys.argv[1:] if argv is None else argv)
-            doc = run_manifest(cmd, inputs, text, __version__)
+            doc = run_manifest(argv, inputs, text, __version__)
             with open(manifest_path, "w", encoding="utf-8") as fh:
                 fh.write(dumps(doc))
         return code

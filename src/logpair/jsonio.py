@@ -26,6 +26,10 @@ _INTEGER_RE = re.compile(r"[+-]?\d+")
 # `example run ex3 --a 500` builds
 MAX_MODEL_POINTS = 2_000
 
+# largest custom Gram matrix accepted, in rows and in entries per row;
+# parsing and checking a full one takes about 0.3 s
+MAX_GRAM_ROWS = 256
+
 # largest candidate file accepted: four times the largest bundled or
 # benchmark pool.  `zariski` may absorb one class per round, so its cost
 # grows with the cube of the count: a 32-root chain on a model of
@@ -157,10 +161,15 @@ def parse_model(data) -> SurfaceModel:
         return SurfaceModel.hirzebruch(e, _points(data, kind))
     if kind == "custom":
         gram = data.get("gram")
-        if not isinstance(gram, list) or not gram:
-            raise InputError("custom model needs a nonempty gram matrix")
-        rows = [[parse_rational(v) for v in row] for row in gram]
-        return SurfaceModel.custom(rows)
+        if (not isinstance(gram, list) or not gram
+                or not all(isinstance(row, list) for row in gram)):
+            raise InputError("custom model needs a nonempty gram matrix "
+                             "of rows")
+        size = max(len(gram), *map(len, gram))
+        if size > MAX_GRAM_ROWS:
+            raise InputError(f"gram matrix has a side of {size}; the limit "
+                             f"is {MAX_GRAM_ROWS}")
+        return SurfaceModel.custom(gram)
     raise InputError(
         f"unknown model kind {kind!r}; expected p2_blowup, hirzebruch "
         "or custom")

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dualgraph import DualGraph, SegmentReport, bark_rhs, classify_segments
-from .errors import InputError, InternalError
-from .lattice import DivisorClass
+from .dualgraph import DualGraph, SegmentReport, classify_segments
+from .errors import InternalError
 # bench/test_bench.py reads logpair.peeling.solve_linear; keep the binding
 from .linalg import solve_linear  # noqa: F401
 
@@ -69,35 +68,3 @@ def bark(g: DualGraph) -> BarkResult:
         report=report,
     )
 
-
-def sharp_boundary_class(g: DualGraph, result: BarkResult) -> DivisorClass:
-    """D# = sum over components of (1 - bark coefficient) * class."""
-    if g.class_map is None:
-        raise InputError("sharp boundary class needs a class_map")
-    total = g.model.zero()
-    for v in g.vertices:
-        total = total + result.sharp_coefficients[v.id] * g.class_map[v.id]
-    return total
-
-
-def sharp_orthogonality_check(g: DualGraph, result: BarkResult) -> bool:
-    """(K + D#) pairs to zero with every bark-support component.
-
-    Checked through the linear-system residual always, and through direct
-    lattice pairings as well whenever the graph carries classes.
-    """
-    for seg in result.report.admissible_segments:
-        ids = list(seg.vertices)
-        gram = g.gram(ids)
-        rhs = bark_rhs(g, ids)
-        coeffs = [result.coefficients[v] for v in ids]
-        for j in range(len(ids)):
-            lhs = sum(coeffs[i] * gram[i][j] for i in range(len(ids)))
-            if lhs != rhs[j]:
-                return False
-    if g.class_map is not None:
-        adjoint = g.model.canonical_class() + sharp_boundary_class(g, result)
-        for vid in result.coefficients:
-            if g.model.intersect(adjoint, g.class_map[vid]) != 0:
-                return False
-    return True

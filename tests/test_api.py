@@ -17,11 +17,6 @@ import logpair
 PACKAGE = pathlib.Path(logpair.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
 
-# kept without a caller in the package: the residual re-check of the
-# bark is an oracle, independent of the solve it checks, so only the
-# tests call it
-UNREFERENCED_BY_DESIGN = {"sharp_orthogonality_check"}
-
 
 def _references() -> set:
     """Names read as a name or an attribute in some module other than
@@ -54,12 +49,7 @@ def test_unknown_name_is_attribute_error():
 
 def test_every_export_is_used_in_the_package():
     refs = _references()
-    unused = sorted(n for n in logpair.__all__
-                    if n not in refs and n not in UNREFERENCED_BY_DESIGN)
-    assert unused == []
-    # the exception stays honest: it is exported and still unreferenced
-    assert UNREFERENCED_BY_DESIGN <= set(logpair.__all__)
-    assert not UNREFERENCED_BY_DESIGN & refs
+    assert sorted(n for n in logpair.__all__ if n not in refs) == []
 
 
 def _unused_imports(path: pathlib.Path) -> list:

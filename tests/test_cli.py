@@ -3,19 +3,23 @@ and the layers each command imports."""
 
 import ast
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from logpair.cli import main
+from logpair.cli import build_parser, main
+from logpair.errors import InputError
 from logpair.examples import MAX_EX3_A
-from logpair.jsonio import (MAX_CANDIDATES, MAX_MODEL_POINTS, load_classes,
-                            parse_model)
+from logpair.jsonio import (MAX_CANDIDATES, MAX_GRAM_ROWS, MAX_MODEL_POINTS,
+                            load_classes, parse_model)
 from logpair.search import MAX_GRID_POINTS
 
 FIXTURES = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures")
@@ -138,6 +142,53 @@ def test_argparse_errors_map_to_exit_one(capsys):
     assert run_cli(capsys, "bogus")[0] == 1
     assert run_cli(capsys, "zariski", f"{FIXTURES}/one_point_model.json")[0] == 1
     assert run_cli(capsys)[0] == 1
+
+
+def _golden_argvs() -> list:
+    """Every command line tests/test_golden.py pins, read from the file
+    so that no import mode has to put the tests on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_cases", pathlib.Path(__file__).with_name("test_golden.py"))
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return [*golden.CASES.values(), *golden.HASHED.values()]
+
+
+# `main` builds arguments only for the subcommand named by argv[0]; each
+# of these must parse as it does with every subcommand's arguments
+PARSE_CASES = [
+    *([*argv, *fmt] for argv in _golden_argvs()
+      for fmt in ([], ["--format", "table"])),
+    # bad arguments
+    [], ["bogus"], ["peel"], ["peel", "a", "b"], ["example", "run", "ex5"],
+    ["example", "walk"], ["peel", "x", "--format", "xml"],
+    ["--format", "json", "peel", "x"], ["--foo", "peel", "x"],
+    ["--", "peel", "x"], ["selftest", "--criterion", "x"],
+    ["example", "run", "ex3", "--a", "q"],
+    # help and version
+    ["-h"], ["--version"], ["example", "run", "--help"],
+    *([cmd, "--help"] for cmd in ("peel", "zariski", "invariants", "pencil",
+                                  "example", "search", "selftest")),
+]
+
+
+def _parse(parser, argv) -> tuple:
+    """The namespace, the InputError text, or the SystemExit code with
+    what was printed, from one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return "namespace", vars(parser.parse_args(argv))
+    except InputError as exc:
+        return "input error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_command_parser_parses_as_the_full_parser(argv):
+    got = _parse(build_parser(argv[0] if argv else None), argv)
+    assert got == _parse(build_parser(), argv)
 
 
 def test_missing_file_is_exit_one(capsys):
@@ -292,6 +343,27 @@ def test_oversized_model_is_input_error(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert f"points; the limit is {MAX_MODEL_POINTS}" in err
+
+
+def test_oversized_gram_is_input_error(tmp_path, capsys):
+    side = MAX_GRAM_ROWS
+    assert parse_model({"kind": "custom", "gram": [
+        [-1 if i == j else 0 for j in range(side)]
+        for i in range(side)]}).basis_size == side
+    cands = _write_json(tmp_path, "cands.json", [[1]])
+    # entries that do not parse: the side is refused before any entry is
+    # read, whether the rows or one row are too many
+    for gram in ([["x"]] * (side + 1), [["x"] * (side + 1)],
+                 [["x"] * 3, ["x"] * 50_000]):
+        model = _write_json(tmp_path, "model.json",
+                            {"kind": "custom", "gram": gram})
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "zariski", model, "--class", "1",
+                                 "--candidates", cands)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert f"the limit is {side}" in err
 
 
 def test_oversized_candidate_file_is_input_error(tmp_path, capsys):

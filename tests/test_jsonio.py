@@ -108,6 +108,9 @@ def test_parse_model_kinds(tmp_path):
         parse_model({"kind": "elliptic"})
     with pytest.raises(InputError):
         parse_model({"points": 3})
+    # a row that is not an array is an input error, not a TypeError
+    with pytest.raises(InputError, match="gram matrix of rows"):
+        parse_model({"kind": "custom", "gram": [[0], 1]})
     p = tmp_path / "m.json"
     p.write_text(dumps({"kind": "p2_blowup", "points": 2}))
     assert load_model(str(p)).basis_size == 3

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from logpair import (DualGraph, Edge, SurfaceModel, Vertex, bark,
-                     sharp_boundary_class, sharp_orthogonality_check)
+from logpair import DualGraph, Edge, SurfaceModel, Vertex, bark
+from logpair.dualgraph import bark_rhs
 
 
 def star(center_self, arms, center_genus=0):
@@ -108,6 +108,37 @@ def test_fork_with_large_coefficient_demoted():
 def test_fork_demoted_by_coefficients_falls_through_to_twigs():
     bk = bark(star(-2, [[-3], [-3], [-3]]))
     assert bk.coefficients == {f"A{i}.0": Fraction(1, 3) for i in range(3)}
+
+
+def sharp_boundary_class(g, result):
+    """D# = sum over components of (1 - bark coefficient) * class."""
+    total = g.model.zero()
+    for v in g.vertices:
+        total = total + result.sharp_coefficients[v.id] * g.class_map[v.id]
+    return total
+
+
+def sharp_orthogonality_check(g, result) -> bool:
+    """(K + D#) pairs to zero with every bark-support component.
+
+    Checked through the linear-system residual always, and through direct
+    lattice pairings as well whenever the graph carries classes.
+    """
+    for seg in result.report.admissible_segments:
+        ids = list(seg.vertices)
+        gram = g.gram(ids)
+        rhs = bark_rhs(g, ids)
+        coeffs = [result.coefficients[v] for v in ids]
+        for j in range(len(ids)):
+            lhs = sum(coeffs[i] * gram[i][j] for i in range(len(ids)))
+            if lhs != rhs[j]:
+                return False
+    if g.class_map is not None:
+        adjoint = g.model.canonical_class() + sharp_boundary_class(g, result)
+        for vid in result.coefficients:
+            if g.model.intersect(adjoint, g.class_map[vid]) != 0:
+                return False
+    return True
 
 
 def test_sharp_boundary_orthogonality():
