@@ -17,9 +17,8 @@ definite, and the solution rides on the segment as its bark
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 from .lattice import DivisorClass, SurfaceModel
@@ -35,28 +34,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Vertex:
+# a NamedTuple cannot define __new__, so a record that validates its
+# fields is a thin subclass that checks them before building the tuple
+class _Vertex(NamedTuple):
     id: str
     genus: int
     self_int: int
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise InputError(f"vertex {self.id}: genus must be >= 0")
+
+class Vertex(_Vertex):
+    __slots__ = ()
+
+    def __new__(cls, id: str, genus: int, self_int: int):
+        if genus < 0:
+            raise InputError(f"vertex {id}: genus must be >= 0")
+        return super().__new__(cls, id, genus, self_int)
 
 
-@dataclass(frozen=True)
-class Edge:
+class _Edge(NamedTuple):
     u: str
     v: str
-    mult: int = 1
+    mult: int
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise InputError(f"self loop at {self.u} is not allowed")
-        if self.mult < 1:
+
+class Edge(_Edge):
+    __slots__ = ()
+
+    def __new__(cls, u: str, v: str, mult: int = 1):
+        if u == v:
+            raise InputError(f"self loop at {u} is not allowed")
+        if mult < 1:
             raise InputError("edge multiplicity must be >= 1")
+        return super().__new__(cls, u, v, mult)
 
 
 class DualGraph:
@@ -179,8 +188,7 @@ class DualGraph:
 # -- segment classification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     kind: str  # "rod", "twig" or "fork"
     vertices: tuple[str, ...]
     attach: Optional[str] = None  # twig: the branch vertex it hangs off
@@ -195,9 +203,8 @@ class Segment:
         return self.reason is None
 
 
-@dataclass
-class SegmentReport:
-    segments: list[Segment] = field(default_factory=list)
+class SegmentReport(NamedTuple):
+    segments: list[Segment]
 
     def _kept(self, kind: str) -> list[Segment]:
         return [s for s in self.segments if s.kind == kind and s.admissible]
@@ -331,7 +338,7 @@ def classify_segments(g: DualGraph) -> SegmentReport:
     fail rationality or admissibility are kept in the report with a
     reason instead of being silently dropped.
     """
-    report = SegmentReport()
+    report = SegmentReport([])
     for comp in g.components():
         path = _path_order(g, comp)
         if path is not None:

@@ -7,9 +7,8 @@ from both presentations and cross-checked before anything else runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dualgraph import DualGraph
 from .errors import InputError, InternalError
@@ -19,8 +18,7 @@ from .peeling import BarkResult
 from . import peeling
 
 
-@dataclass(frozen=True)
-class LogInvariants:
+class LogInvariants(NamedTuple):
     c1bar_sq: Fraction  # (K+D)^2
     c2bar: Fraction     # e(S) + 2(p_a(D) - 1 - l)
     pa_D: int
@@ -103,8 +101,7 @@ def noether_check(inv: LogInvariants, d_sq) -> bool:
     return lhs == 12 * inv.chi_bar
 
 
-@dataclass(frozen=True)
-class EulerBoundReport:
+class EulerBoundReport(NamedTuple):
     hypothesis_holds: bool          # p_a <= 2(l+q) + 1 - h11
     hypothesis_lhs: int
     hypothesis_rhs: int
@@ -140,8 +137,7 @@ def bmy_check(p_sq, n_sq, c2bar) -> bool:
     return Fraction(p_sq) / 3 <= Fraction(c2bar) - Fraction(n_sq) / 4
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     invariants: LogInvariants
     boundary_square: Fraction
     euler_bound: EulerBoundReport
@@ -184,8 +180,7 @@ def genus_bound(n: int, p_sq) -> Fraction:
     return Fraction(n + 2, 2 * n * n) * Fraction(p_sq) + 1
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     applicable_branch: bool         # b >= 2, so the g+k window applies
     window_holds: Optional[bool]    # 2 <= g+k <= 3 (None when b < 2)
     boundary_case: bool             # g+k == 3

@@ -2,7 +2,8 @@
 
 Exact rationals never pass through floats: integers serialize as JSON
 numbers, everything else as "p/q" in lowest terms with positive q.
-Result dataclasses serialize field by field through `to_jsonable`.
+Result records (NamedTuples) serialize field by field through
+`to_jsonable`.
 Emission is canonical (sorted keys, two-space indent, trailing
 newline) so identical inputs give byte-identical outputs.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Any, Mapping, Optional, Sequence
@@ -72,13 +72,14 @@ def to_jsonable(obj) -> Any:
                 raise InputError("JSON object keys must be strings")
             out[k] = to_jsonable(v)
         return out
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        # a record, tested before plain tuples: a field serializes under
+        # its own name unless the class's _json_names renames it
+        names = getattr(obj, "_json_names", {})
+        return {names.get(f, f): to_jsonable(v)
+                for f, v in zip(obj._fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        # a field serializes under its own name unless its metadata
-        # carries a "json" key
-        return {f.metadata.get("json", f.name):
-                to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, float):
         raise InputError("floating point values cannot be serialized")
     raise InputError(f"cannot serialize {type(obj).__name__}")

@@ -18,12 +18,11 @@ numerators over one common denominator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -157,8 +156,7 @@ class DivisorClass:
         return self.den == 1
 
 
-@dataclass(frozen=True)
-class HodgeData:
+class HodgeData(NamedTuple):
     q: int
     p_g: int
     h11: int
@@ -174,12 +172,15 @@ class HodgeData:
             raise InputError("inconsistent Hodge data")
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(NamedTuple):
     kind: ModelKind
     degree_e: int = 0
     num_points: int = 0
     gram_rows: tuple = ()  # custom kind only
+    # custom kind only: per row of gram_rows, its non-zero columns and
+    # their entries times gram_den, the common denominator, as integers
+    gram_ints: tuple = ()
+    gram_den: int = 1
 
     # -- constructors ---------------------------------------------------
 
@@ -208,7 +209,14 @@ class SurfaceModel:
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise InputError("Gram matrix must be symmetric")
-        return SurfaceModel(ModelKind.CUSTOM, 0, 0, rows)
+        den = lcm(*(x.denominator for row in rows for x in row))
+        ints = []
+        for row in rows:
+            cols = tuple(j for j, x in enumerate(row) if x)
+            ints.append((cols, tuple(row[j].numerator
+                                     * (den // row[j].denominator)
+                                     for j in cols)))
+        return SurfaceModel(ModelKind.CUSTOM, 0, 0, rows, tuple(ints), den)
 
     # -- basis bookkeeping ----------------------------------------------
 
@@ -287,14 +295,10 @@ class SurfaceModel:
             total = (self.degree_e * an[0] * bn[0] + an[0] * bn[1]
                      + an[1] * bn[0] - sum(map(mul, an[2:], bn[2:])))
         else:
-            total = Fraction(0)
-            for i in range(n):
-                if an[i] == 0:
-                    continue
-                for j in range(n):
-                    g = self.gram_rows[i][j]
-                    if g != 0 and bn[j] != 0:
-                        total += an[i] * g * bn[j]
+            total = sum(x * sum(map(mul, entries, map(bn.__getitem__, cols)))
+                        for x, (cols, entries) in zip(an, self.gram_ints)
+                        if x)
+            return Fraction(total, a.den * b.den * self.gram_den)
         return Fraction(total, a.den * b.den)
 
     def self_intersection(self, a: DivisorClass) -> Fraction:

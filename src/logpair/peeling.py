@@ -10,8 +10,8 @@ admissible segments carry their coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dualgraph import DualGraph, SegmentReport, classify_segments
 from .errors import InternalError
@@ -19,8 +19,7 @@ from .errors import InternalError
 from .linalg import solve_linear  # noqa: F401
 
 
-@dataclass
-class BarkResult:
+class BarkResult(NamedTuple):
     coefficients: dict[str, Fraction]
     sharp_coefficients: dict[str, Fraction]
     bark_square: Fraction

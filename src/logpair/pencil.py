@@ -12,10 +12,9 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, NoPencilError
 from .lattice import DivisorClass, ModelKind, SurfaceModel
@@ -23,15 +22,15 @@ from .lattice import DivisorClass, ModelKind, SurfaceModel
 _MAX_ROUNDS = 1000
 
 
-@dataclass(frozen=True)
-class FixedPart:
-    cls: DivisorClass = field(metadata={"json": "class"})
+class FixedPart(NamedTuple):
+    cls: DivisorClass
     pairing: Fraction        # (running adjoint) . cls at extraction, < 0
     dim_bound: Optional[Fraction]  # informational, not a gate
 
+    _json_names = {"cls": "class"}
 
-@dataclass(frozen=True)
-class PencilResult:
+
+class PencilResult(NamedTuple):
     adjoint: DivisorClass
     # None with the margin: a non-integral adjoint, or one with a
     # positive exceptional coefficient

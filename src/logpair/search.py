@@ -30,10 +30,9 @@ O(|g| |x| |y| + rows) and the rows are still the evaluator's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError, InternalError
 from .lattice import DivisorClass, SurfaceModel
@@ -47,21 +46,25 @@ REFERENCE_INSTANCE = (10, 3, 8, 1)
 MAX_GRID_POINTS = 200_000
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class _FamilyInstance(NamedTuple):
     g: int
     e: int
     x: int
     y: int
 
-    def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.g, self.e, self.x,
-                                                self.y)):
+
+class FamilyInstance(_FamilyInstance):
+    # a thin subclass, as a NamedTuple cannot define __new__
+    __slots__ = ()
+
+    def __new__(cls, g: int, e: int, x: int, y: int):
+        if not all(isinstance(v, int) for v in (g, e, x, y)):
             raise InputError("instance parameters must be integers")
-        if self.g < 2:
+        if g < 2:
             raise InputError("g must be an integer >= 2")
-        if not 0 <= self.e <= self.g:
+        if not 0 <= e <= g:
             raise InputError("e must satisfy 0 <= e <= g")
+        return super().__new__(cls, g, e, x, y)
 
     @property
     def a(self) -> int:
@@ -92,8 +95,7 @@ class FamilyInstance:
         return m.canonical_class() + self.boundary(m)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """One grid point, shaped as the search row it serializes to.
 
     `inequalities` maps dim_positive, big, effective and fixed_part to

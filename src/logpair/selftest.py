@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import NotDecomposableError
@@ -27,8 +26,7 @@ from .search import (FamilyInstance, evaluate_constraints,
 from .zariski import verify_decomposition, zariski_decompose
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -9,9 +9,8 @@ outside the set, and outputs carry that scope marker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, NotDecomposableError
 from .lattice import DivisorClass, SurfaceModel
@@ -23,14 +22,15 @@ from . import linalg
 NEF_SCOPE = "relative to the supplied candidate set only"
 
 
-@dataclass
-class ZariskiDecomposition:
-    positive: DivisorClass = field(metadata={"json": "P"})
-    negative: DivisorClass = field(metadata={"json": "N"})
+class ZariskiDecomposition(NamedTuple):
+    positive: DivisorClass
+    negative: DivisorClass
     support: list[int]
     coefficients: list[Fraction]
     rounds: int
     nef_scope: str = NEF_SCOPE
+
+    _json_names = {"positive": "P", "negative": "N"}
 
 
 def _validate(model: SurfaceModel, x: DivisorClass,
@@ -93,8 +93,7 @@ def zariski_decompose(
         active = sorted(active + newly)
 
 
-@dataclass
-class DecompositionCheck:
+class DecompositionCheck(NamedTuple):
     sum_matches: bool
     coefficients_nonnegative: bool
     support_negative_definite: bool
@@ -104,14 +103,7 @@ class DecompositionCheck:
 
     @property
     def all_ok(self) -> bool:
-        return all((
-            self.sum_matches,
-            self.coefficients_nonnegative,
-            self.support_negative_definite,
-            self.positive_orthogonal_to_support,
-            self.positive_nonnegative_on_candidates,
-            self.positive_times_input_is_square,
-        ))
+        return all(self)  # every field is one of the checks
 
 
 def verify_decomposition(

@@ -414,10 +414,33 @@ def _import_map(*argv) -> tuple[set, set]:
     return set(ast.literal_eval(startup)), set(ast.literal_eval(command))
 
 
+# `dataclasses` imports `inspect`, which loads `ast`, `dis` and
+# `tokenize`: about 10 ms of start-up that no command needs
+UNUSED_STDLIB = {"dataclasses", "inspect"}
+
+
 def test_startup_loads_only_the_shared_core():
     startup, _ = _import_map()
     assert {m for m in startup if m.startswith("logpair")} == CORE
     assert "hashlib" not in startup
+    assert not startup & UNUSED_STDLIB
+
+
+@pytest.mark.parametrize("argv", [
+    ["zariski", f"{FIXTURES}/one_point_model.json", "--class", "1,2",
+     "--candidates", f"{FIXTURES}/one_point_candidates.json"],
+    ["invariants", f"{FIXTURES}/sextic_model.json",
+     f"{FIXTURES}/sextic_graph.json", "--class", "6,-2,-2,-2,-2,-2,-2,-2,-2"],
+    ["pencil", f"{FIXTURES}/sextic_model.json", "--divisor",
+     "6,-2,-2,-2,-2,-2,-2,-2,-2", "--candidates",
+     f"{FIXTURES}/sextic_candidates.json"],
+    ["example", "run", "ex2"],
+    ["search", "ex4", "--g", "10:10", "--x", "8:8", "--y", "1:1"],
+    ["selftest", "--criterion", "1"],
+], ids=["zariski", "invariants", "pencil", "example", "search", "selftest"])
+def test_no_command_imports_dataclasses(argv):
+    startup, command = _import_map(*argv)
+    assert not (startup | command) & UNUSED_STDLIB
 
 
 @pytest.mark.parametrize("argv,added", [

@@ -243,6 +243,51 @@ def test_intersect_matches_fraction_oracle():
             assert got == model.intersect(b, a)
 
 
+def _double_loop_intersect(gram, xs, ys) -> Fraction:
+    """The pairing as the plain double loop of Fraction products."""
+    total = Fraction(0)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            total += Fraction(x) * Fraction(gram[i][j]) * Fraction(y)
+    return total
+
+
+def _random_gram(rng, n, zero_share, spelled):
+    """A symmetric n x n Gram with about zero_share of its entries 0;
+    entries are ints, or "p" / "p/q" strings when spelled."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < zero_share:
+                continue
+            num, den = rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 5, 12))
+            v = Fraction(num, den)
+            rows[i][j] = rows[j][i] = str(v) if spelled else num
+    return rows
+
+
+@pytest.mark.parametrize("zero_share", [0.0, 0.9], ids=["dense", "sparse"])
+@pytest.mark.parametrize("spelled", [False, True], ids=["int", "pq"])
+def test_custom_intersect_matches_double_loop(zero_share, spelled):
+    rng = random.Random(f"{zero_share}-{spelled}")
+    for n in (1, 2, 5, 12, 31):
+        gram = _random_gram(rng, n, zero_share, spelled)
+        model = SurfaceModel.custom(gram)
+        assert model.gram_rows == tuple(
+            tuple(Fraction(v) for v in row) for row in gram)
+        for _ in range(6):
+            xs, ys = _random_coeffs(rng, n), _random_coeffs(rng, n)
+            if rng.random() < 0.3:
+                xs[rng.randrange(n)] = 0
+            a, b = model.divisor(xs), model.divisor(ys)
+            got = model.intersect(a, b)
+            assert isinstance(got, Fraction)
+            assert got == _double_loop_intersect(gram, xs, ys)
+            assert got == model.intersect(b, a)
+        zero = model.zero()
+        assert model.intersect(zero, model.divisor(xs)) == 0
+
+
 def test_arithmetic_matches_fraction_coordinatewise():
     rng = random.Random(7)
     scalars = (0, 1, -1, 3, Fraction(1, 3), Fraction(-5, 4), Fraction(6, 2))
