@@ -12,8 +12,8 @@ points are:
 - :func:`analyze_adjoint_system` for fiber extraction,
 - :func:`run_search` for the ruled-family inequality grid.
 
-Every exported name feeds a report or a check inside the package;
-tests/test_api.py keeps it so.
+Every exported name and every public function, method and property is
+read inside the package; tests/test_api.py keeps it so.
 
 Importing the package imports none of its submodules: an exported name
 is read from its submodule on first access (PEP 562), so
@@ -41,7 +41,7 @@ _EXPORTS = {
                    "log_genus_rational", "main_theorem_predicate",
                    "noether_check"),
     "pencil": ("FixedPart", "PencilResult", "analyze_adjoint_system"),
-    "examples": ("run_ex2", "run_ex3", "run_example"),
+    "examples": ("run_example",),
     "search": ("FamilyInstance", "ConstraintReport", "e_window",
                "evaluate_constraints", "interval_report_x8_y1",
                "reduced_bounds_x8_y1", "run_search"),

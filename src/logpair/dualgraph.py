@@ -129,13 +129,6 @@ class DualGraph:
         except KeyError:
             raise InputError(f"unknown vertex {vid}") from None
 
-    def ids(self) -> list[str]:
-        return [v.id for v in self.vertices]
-
-    def neighbors(self, vid: str) -> dict[str, int]:
-        self.vertex(vid)
-        return dict(self._adj[vid])
-
     def branching_number(self, vid: str) -> int:
         """Number of distinct components meeting this one."""
         self.vertex(vid)
@@ -192,7 +185,6 @@ class Segment(NamedTuple):
     kind: str  # "rod", "twig" or "fork"
     vertices: tuple[str, ...]
     attach: Optional[str] = None  # twig: the branch vertex it hangs off
-    center: Optional[str] = None  # fork only
     branches: tuple[tuple[str, ...], ...] = ()  # fork only, tip first
     reason: Optional[str] = None  # why the segment is excluded
     # bark coefficients in vertex order; () on an excluded segment
@@ -205,21 +197,6 @@ class Segment(NamedTuple):
 
 class SegmentReport(NamedTuple):
     segments: list[Segment]
-
-    def _kept(self, kind: str) -> list[Segment]:
-        return [s for s in self.segments if s.kind == kind and s.admissible]
-
-    @property
-    def rods(self) -> list[Segment]:
-        return self._kept("rod")
-
-    @property
-    def maximal_twigs(self) -> list[Segment]:
-        return self._kept("twig")
-
-    @property
-    def forks(self) -> list[Segment]:
-        return self._kept("fork")
 
     @property
     def excluded(self) -> list[Segment]:
@@ -379,9 +356,8 @@ def classify_segments(g: DualGraph) -> SegmentReport:
                 reason = f"bark coefficient {bad[0]} outside (0, 1]"
                 coeffs = ()
             report.segments.append(
-                Segment("fork", tuple(comp), center=center,
-                        branches=tuple(branches), reason=reason,
-                        coefficients=coeffs))
+                Segment("fork", tuple(comp), branches=tuple(branches),
+                        reason=reason, coefficients=coeffs))
             if reason is None or bad:
                 continue  # a star demoted by its coefficients offers no twigs
             # any other inadmissible star still offers its branches as twigs

@@ -9,8 +9,9 @@ the command line:
        3a-3 and 4a-4 double points (one free parameter
        2 <= a <= MAX_EX3_A; the model has 4a-2 basis classes).
 
-Each runner produces a full report: pencil extraction, invariants, the
-identity checks, and the peeling/decomposition state of the boundary.
+`run_example` gives either one a full report: pencil extraction,
+invariants, the identity checks, and the peeling/decomposition state of
+the boundary.
 The ruled-surface family keyed "ex4" lives in the search module.
 """
 
@@ -120,34 +121,23 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
     }
 
 
-def run_ex2() -> dict:
-    model, boundary, graph, candidates = sextic_config()
-    report = _base_report(model, boundary, graph, candidates)
-    report["name"] = "ex2"
-    return report
-
-
-def run_ex3(a: int = 2) -> dict:
-    model, boundary, graph, candidates = degenerate_plane_config(a)
-    report = _base_report(model, boundary, graph, candidates)
-    report["name"] = "ex3"
-    report["a"] = a
-    k_ref = 3 * a
-    k = report["pencil"].k
-    # the value circulated for this family is 3a; exact lattice
-    # arithmetic gives D.(H - E0) independent of a.  Both are kept.
-    report["k_reference"] = k_ref
-    report["k_discrepancy"] = (k != k_ref)
-    return report
-
-
 def run_example(name: str, a: Optional[int] = None) -> dict:
     if name == "ex2":
         if a is not None:
             raise InputError("ex2 takes no parameter")
-        return run_ex2()
-    if name == "ex3":
-        return run_ex3(2 if a is None else a)
-    raise InputError(
-        f"unknown example {name!r}; available: ex2, ex3 "
-        "(the ruled-surface family is under the search command)")
+        report = _base_report(*sextic_config())
+        report["name"] = "ex2"
+        return report
+    if name != "ex3":
+        raise InputError(
+            f"unknown example {name!r}; available: ex2, ex3 "
+            "(the ruled-surface family is under the search command)")
+    a = 2 if a is None else a
+    report = _base_report(*degenerate_plane_config(a))
+    report["name"] = "ex3"
+    report["a"] = a
+    # the value circulated for this family is 3a; exact lattice
+    # arithmetic gives D.(H - E0) independent of a.  Both are kept.
+    report["k_reference"] = 3 * a
+    report["k_discrepancy"] = report["pencil"].k != 3 * a
+    return report

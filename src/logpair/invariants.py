@@ -73,7 +73,7 @@ def log_chern(
     k = model.canonical_class()
     c1bar_sq = model.self_intersection(k + boundary)
     c2bar = Fraction(hodge.euler_e + 2 * (pa - 1 - l))
-    # independent route through the Hodge numbers; must agree
+    # the Hodge-number route; hodge.check() above already makes it agree
     e_open = Fraction(
         hodge.h11 + 2 * hodge.p_g - 4 * hodge.q + 2 * pa - 2 * l)
     if e_open != c2bar:

@@ -30,6 +30,11 @@ MAX_MODEL_POINTS = 2_000
 # parsing and checking a full one takes about 0.3 s
 MAX_GRAM_ROWS = 256
 
+# largest dual graph accepted, in vertices: a rod is solved as one dense
+# Gram matrix, so `peel` grows faster than the square of the count and
+# takes about 0.5 s at the limit
+MAX_GRAPH_VERTICES = 256
+
 # largest candidate file accepted: four times the largest bundled or
 # benchmark pool.  `zariski` may absorb one class per round, so its cost
 # grows with the cube of the count: a 32-root chain on a model of
@@ -186,6 +191,15 @@ def parse_graph(data) -> DualGraph:
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise InputError("graph JSON needs a nonempty vertices array")
+    if len(raw_vertices) > MAX_GRAPH_VERTICES:
+        raise InputError(f"graph has {len(raw_vertices)} vertices; the limit "
+                         f"is {MAX_GRAPH_VERTICES}")
+    raw_edges = data.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise InputError("graph edges must be an array")
+    if "classes" in data:
+        raise InputError('a top-level "classes" map is not supported; give '
+                         'each vertex its own "class" array')
     vertices = []
     vertex_classes = {}
     for rv in raw_vertices:
@@ -207,7 +221,7 @@ def parse_graph(data) -> DualGraph:
         if "class" in rv:
             vertex_classes[vid] = rv["class"]
     edges = []
-    for re_ in data.get("edges", []):
+    for re_ in raw_edges:
         if not isinstance(re_, Mapping):
             raise InputError("each edge must be an object")
         u, v = re_.get("u"), re_.get("v")
@@ -221,18 +235,10 @@ def parse_graph(data) -> DualGraph:
     class_map = None
     if "model" in data:
         model = parse_model(data["model"])
-        raw_classes = data.get("classes")
-        if raw_classes is not None:
-            if not isinstance(raw_classes, Mapping):
-                raise InputError("classes must map vertex ids to arrays")
-            merged = dict(vertex_classes)
-            merged.update(raw_classes)
-        else:
-            merged = vertex_classes
-        if merged:
+        if vertex_classes:
             class_map = {k: parse_class(v, model)
-                         for k, v in merged.items()}
-    elif "classes" in data or vertex_classes:
+                         for k, v in vertex_classes.items()}
+    elif vertex_classes:
         raise InputError("classes require a model in the same file")
     return DualGraph(vertices, edges, model=model, class_map=class_map)
 

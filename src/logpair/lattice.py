@@ -304,10 +304,6 @@ class SurfaceModel(NamedTuple):
     def self_intersection(self, a: DivisorClass) -> Fraction:
         return self.intersect(a, a)
 
-    def gram_matrix(self) -> list[list[Fraction]]:
-        basis = [self.basis_class(i) for i in range(self.basis_size)]
-        return [[self.intersect(u, v) for v in basis] for u in basis]
-
     def canonical_class(self) -> DivisorClass:
         if self.kind is ModelKind.P2_BLOWUP:
             return self.divisor([-3] + [1] * self.num_points)

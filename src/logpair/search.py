@@ -85,15 +85,6 @@ class FamilyInstance(_FamilyInstance):
         m = model or self.model()
         return m.ruled_class(2, self.a, [1] * self.points)
 
-    def fixed_candidate(
-            self, model: Optional[SurfaceModel] = None) -> DivisorClass:
-        m = model or self.model()
-        return m.ruled_class(self.x - 4, self.y + self.e - self.a - 2)
-
-    def adjoint(self, model: Optional[SurfaceModel] = None) -> DivisorClass:
-        m = model or self.model()
-        return m.canonical_class() + self.boundary(m)
-
 
 class ConstraintReport(NamedTuple):
     """One grid point, shaped as the search row it serializes to.

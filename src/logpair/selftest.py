@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import NotDecomposableError
-from .examples import degenerate_plane_config, run_ex2, sextic_config
+from .examples import degenerate_plane_config, run_example, sextic_config
 from .invariants import (genus_bound, invariant_report,
                          main_theorem_predicate)
 from .lattice import DivisorClass, SurfaceModel, blow_up_transform
@@ -68,7 +68,7 @@ class _Check:
 def check_ex2_pencil() -> tuple[bool, str]:
     c = _Check()
     t0 = time.perf_counter()
-    report = run_ex2()
+    report = run_example("ex2")
     elapsed = time.perf_counter() - t0
     m = SurfaceModel.plane_blowup(8)
     p = report["pencil"]

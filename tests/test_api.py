@@ -1,10 +1,11 @@
-"""Public API guard: every exported name is in use inside the package,
-and no module imports a name it never reads.
+"""Public API guard: every exported name, every public function and
+every public method or property of a public class is in use inside the
+package, and no module imports a name it never reads.
 
-A name in `logpair.__all__` that no module of the package reads is a
-library-only wrapper; it should either feed a report or be deleted.
-References are read from the source with `ast`, so an import that is
-never used does not count.
+A name that no module of the package reads is a library-only wrapper;
+it should either feed a report or be deleted.  References are read
+from the source with `ast`, so an import that is never used does not
+count.
 """
 
 import ast
@@ -18,10 +19,11 @@ PACKAGE = pathlib.Path(logpair.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
 
 
-def _references() -> set:
-    """Names read as a name or an attribute in some module other than
-    __init__.py; definitions, assignments and imports are not reads."""
-    names = set()
+def _reads() -> tuple[set, set]:
+    """(names read as a bare name, names read as an attribute) in the
+    modules other than __init__.py; definitions, assignments and
+    imports are not reads."""
+    names, attrs = set(), set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -30,8 +32,8 @@ def _references() -> set:
                 names.add(node.id)
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
-                names.add(node.attr)
-    return names
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def test_exports_resolve_and_are_unique():
@@ -48,8 +50,30 @@ def test_unknown_name_is_attribute_error():
 
 
 def test_every_export_is_used_in_the_package():
-    refs = _references()
+    refs = set().union(*_reads())
     assert sorted(n for n in logpair.__all__ if n not in refs) == []
+
+
+def test_every_public_function_and_member_is_used_in_the_package():
+    # a member counts only when read as an attribute: a local variable
+    # of the same name (say `ids`) is not a read of the method
+    names, attrs = _reads()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in names | attrs):
+                unread.append(f"{path.stem}.{node.name}")
+            elif (isinstance(node, ast.ClassDef)
+                  and not node.name.startswith("_")):
+                unread += [f"{path.stem}.{node.name}.{m.name}"
+                           for m in node.body
+                           if isinstance(m, ast.FunctionDef)
+                           and not m.name.startswith("_")
+                           and m.name not in attrs]
+    assert unread == []
 
 
 def _unused_imports(path: pathlib.Path) -> list:

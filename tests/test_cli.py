@@ -15,11 +15,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from logpair.cli import build_parser, main
+from logpair.cli import _compact_span, build_parser, main
 from logpair.errors import InputError
 from logpair.examples import MAX_EX3_A
-from logpair.jsonio import (MAX_CANDIDATES, MAX_GRAM_ROWS, MAX_MODEL_POINTS,
-                            load_classes, parse_model)
+from logpair.jsonio import (MAX_CANDIDATES, MAX_GRAM_ROWS, MAX_GRAPH_VERTICES,
+                            MAX_MODEL_POINTS, load_classes, parse_model)
 from logpair.search import MAX_GRID_POINTS
 
 FIXTURES = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures")
@@ -129,6 +129,35 @@ def test_search_table_format(capsys):
     assert code == 0
     assert "dim_positive" in out
     assert "disagrees with the circulated claim" in out
+
+
+def test_compact_span_compresses_runs():
+    assert _compact_span([]) == "(none)"
+    assert _compact_span([5]) == "5"
+    assert _compact_span([2, 3, 5, 7, 8]) == "2..3, 5, 7..8"
+
+
+def _expand_span(text: str) -> list:
+    out = []
+    for part in text.split(", "):
+        lo, _, hi = part.partition("..")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def test_search_table_window_line_matches_the_json(capsys):
+    argv = ("search", "ex4", "--g", "8:40", "--x", "8:8", "--y", "1:1")
+    _, out, _ = run_cli(capsys, *argv)
+    per_g = json.loads(out)["interval_x8_y1"]["per_g"]
+    _, table, _ = run_cli(capsys, *argv, "--format", "table")
+    [line] = [t for t in table.splitlines()
+              if t.startswith("integer window at x=8, y=1")]
+    head, _, variant = line.partition("; variant threshold gives ")
+    nonempty = head.partition(" nonempty for g in ")[2]
+    assert ".." in nonempty and ", " in nonempty  # runs, compressed
+    assert _expand_span(nonempty) == [r["g"] for r in per_g if r["nonempty"]]
+    assert _expand_span(variant) == [r["g"] for r in per_g
+                                     if r["variant_nonempty"]]
 
 
 def test_bad_span_is_input_error(capsys):
@@ -307,6 +336,81 @@ def test_boolean_edge_mult_is_input_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "edge A-B: mult must be an integer" in err
+
+
+GRAPH_VERTEX = {"id": "A", "self": -2}
+
+# malformed input files: (the file's role, its content, the message)
+MALFORMED = [
+    ("graph", [GRAPH_VERTEX], "graph JSON must be an object"),
+    ("model", [1, 2], "model JSON must be an object"),
+    ("graph", {"vertices": []}, "needs a nonempty vertices array"),
+    ("graph", {"vertices": ["A"]}, "each vertex must be an object"),
+    ("graph", {"vertices": [{"self": -2}]},
+     "each vertex needs a nonempty string id"),
+    ("graph", {"vertices": [{"id": "", "self": -2}]},
+     "each vertex needs a nonempty string id"),
+    ("graph", {"vertices": [{"id": "A"}]},
+     "vertex A: missing self-intersection"),
+    ("graph", {"vertices": [{"id": "A", "self": "-3/2"}]},
+     "vertex A: self-intersection must be an integer"),
+    ("graph", {"vertices": [GRAPH_VERTEX], "edges": 5},
+     "graph edges must be an array"),
+    ("graph", {"vertices": [GRAPH_VERTEX], "edges": None},
+     "graph edges must be an array"),
+    ("graph", {"vertices": [GRAPH_VERTEX], "edges": [["A", "B"]]},
+     "each edge must be an object"),
+    ("graph", {"vertices": [GRAPH_VERTEX], "edges": [{"u": "A", "v": 1}]},
+     "each edge needs string endpoints u and v"),
+    # the top-level map, once accepted, took ids that are no vertices
+    ("graph", {"model": {"kind": "p2_blowup", "points": 1},
+               "vertices": [{"id": "A", "self": -1}],
+               "classes": {"A": [0, 1], "Z": [1, 0]}},
+     'each vertex its own "class" array'),
+    ("graph", '{"vertices": [', "is not valid JSON"),
+    ("candidates", {"candidates": 3}, "expected an array of classes"),
+]
+
+
+@pytest.mark.parametrize("role, doc, message", MALFORMED)
+def test_malformed_input_file_is_input_error(tmp_path, capsys, role, doc,
+                                             message):
+    path = tmp_path / "input.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    model = f"{FIXTURES}/one_point_model.json"
+    cands = f"{FIXTURES}/one_point_candidates.json"
+    argv = {"graph": ["peel", str(path)],
+            "model": ["zariski", str(path), "--class", "1,2",
+                      "--candidates", cands],
+            "candidates": ["zariski", model, "--class", "1,2",
+                           "--candidates", str(path)]}[role]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def _rod(n: int) -> dict:
+    return {"vertices": [{"id": f"R{i}", "self": -2} for i in range(n)],
+            "edges": [{"u": f"R{i}", "v": f"R{i + 1}"}
+                      for i in range(n - 1)]}
+
+
+def test_oversized_graph_is_input_error(tmp_path, capsys):
+    graph = _write_json(tmp_path, "rod.json", _rod(MAX_GRAPH_VERTICES))
+    code, out, _ = run_cli(capsys, "peel", graph)
+    assert code == 0
+    assert json.loads(out)["coefficients"] == {
+        f"R{i}": 1 for i in range(MAX_GRAPH_VERTICES)}
+    graph = _write_json(tmp_path, "rod.json", _rod(MAX_GRAPH_VERTICES + 1))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "peel", graph)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert (f"graph has {MAX_GRAPH_VERTICES + 1} vertices; the limit is "
+            f"{MAX_GRAPH_VERTICES}") in err
 
 
 def test_oversized_search_grid_is_input_error(capsys):

@@ -158,7 +158,7 @@ def test_load_graph_and_classes(tmp_path):
     gpath.write_text(dumps({
         "vertices": [{"id": "A", "self": -2}],
     }))
-    assert load_graph(str(gpath)).ids() == ["A"]
+    assert [v.id for v in load_graph(str(gpath)).vertices] == ["A"]
     cpath = tmp_path / "c.json"
     cpath.write_text(dumps([[1, 0], [0, 1]]))
     m = SurfaceModel.plane_blowup(1)
