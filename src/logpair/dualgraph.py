@@ -105,20 +105,26 @@ class DualGraph:
         for v in self.vertices:
             if v.id not in self.class_map:
                 raise InputError(f"class_map is missing vertex {v.id}")
+        # one covector per vertex class, so a pairing costs the non-zero
+        # coordinates of that class, not the basis length
         ids = [v.id for v in self.vertices]
+        gram_den = self.model.gram_den
         for i, u in enumerate(ids):
             cu = self.class_map[u]
-            if self.model.self_intersection(cu) != self._by_id[u].self_int:
+            pair = self.model.pairing_with(cu)
+            self_int = self._by_id[u].self_int
+            if pair(cu) != self_int * cu.den * cu.den * gram_den:
                 raise InputError(
                     f"vertex {u}: class self-intersection disagrees with graph"
                 )
             for w in ids[i + 1:]:
-                pairing = self.model.intersect(cu, self.class_map[w])
+                cw = self.class_map[w]
+                num, den = pair(cw), cu.den * cw.den * gram_den
                 stated = self._adj[u].get(w, 0)
-                if pairing != stated:
+                if num != stated * den:
                     raise InputError(
-                        f"edge {u}-{w}: class pairing {pairing} disagrees "
-                        f"with stated multiplicity {stated}"
+                        f"edge {u}-{w}: class pairing {Fraction(num, den)} "
+                        f"disagrees with stated multiplicity {stated}"
                     )
 
     # -- elementary queries ------------------------------------------------
@@ -165,16 +171,15 @@ class DualGraph:
         l = self.total_edge_multiplicity
         return sum(v.genus for v in self.vertices) + 1 + l - r
 
-    def gram(self, ids: Sequence[str]) -> list[list[Fraction]]:
+    def gram(self, ids: Sequence[str]) -> list[list[int]]:
         for vid in ids:
             self.vertex(vid)
         n = len(ids)
-        out = [[Fraction(0)] * n for _ in range(n)]
+        out = [[0] * n for _ in range(n)]
         for i, u in enumerate(ids):
-            out[i][i] = Fraction(self._by_id[u].self_int)
+            out[i][i] = self._by_id[u].self_int
             for j in range(i + 1, n):
-                m = self._adj[u].get(ids[j], 0)
-                out[i][j] = out[j][i] = Fraction(m)
+                out[i][j] = out[j][i] = self._adj[u].get(ids[j], 0)
         return out
 
 
@@ -233,9 +238,9 @@ def _chain_eligible(g: DualGraph, vid: str) -> bool:
     return all(m == 1 for m in g._adj[vid].values())
 
 
-def bark_rhs(g: DualGraph, ids: Sequence[str]) -> list[Fraction]:
+def bark_rhs(g: DualGraph, ids: Sequence[str]) -> list[int]:
     """Right-hand side -2 + beta(C_j) of the bark system on these vertices."""
-    return [Fraction(-2 + g.branching_number(v)) for v in ids]
+    return [-2 + g.branching_number(v) for v in ids]
 
 
 def _admissibility(

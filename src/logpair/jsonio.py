@@ -2,16 +2,24 @@
 
 Exact rationals never pass through floats: integers serialize as JSON
 numbers, everything else as "p/q" in lowest terms with positive q.
-Result records (NamedTuples) serialize field by field through
-`to_jsonable`.
+Result records (NamedTuples) serialize field by field, under the names
+of their `_json_names` map where it renames a field.
 Emission is canonical (sorted keys, two-space indent, trailing
-newline) so identical inputs give byte-identical outputs.
+newline) so identical inputs give byte-identical outputs.  `dumps`
+writes that text in one walk over the records, `Fraction`s and
+`DivisorClass`es, with strings escaped by `json`'s own ASCII encoder:
+it gives the bytes of `json.dumps(to_jsonable(x), sort_keys=True,
+indent=2)` plus a newline without building the intermediate tree or
+running `json`'s pure-Python indenting encoder.  `to_jsonable` builds
+that tree for `--format table` and for the `zariski` and `invariants`
+reports, which merge a record's fields into a block of their own.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from math import gcd
 from typing import Any, Mapping, Optional, Sequence
@@ -30,15 +38,19 @@ MAX_MODEL_POINTS = 2_000
 # parsing and checking a full one takes about 0.3 s
 MAX_GRAM_ROWS = 256
 
-# largest dual graph accepted, in vertices: a rod is solved as one dense
-# Gram matrix, so `peel` grows faster than the square of the count and
-# takes about 0.5 s at the limit
+# largest dual graph accepted, in vertices: every Gram solved is that of
+# a chain or a three-branch star, which the elimination works through in
+# about the square of its size, so a rod at the limit peels in about
+# 0.05 s; with a class on every vertex of a MAX_MODEL_POINTS model the
+# graph loads in about 0.2 s
 MAX_GRAPH_VERTICES = 256
 
 # largest candidate file accepted: four times the largest bundled or
-# benchmark pool.  `zariski` may absorb one class per round, so its cost
-# grows with the cube of the count: a 32-root chain on a model of
-# MAX_MODEL_POINTS points takes about 2 s.
+# benchmark pool.  `zariski` may absorb one class per round and solves
+# the support again each round, so its cost can grow with the fourth
+# power of the count.  The worst case measured at the cap, a 32-root chain
+# on a model of MAX_MODEL_POINTS points (32 rounds), takes about 0.04 s
+# to decompose and 0.17 s as a whole `zariski` command.
 MAX_CANDIDATES = 32
 
 
@@ -90,8 +102,63 @@ def to_jsonable(obj) -> Any:
     raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
+def _emit(obj, indent: str) -> str:
+    """The canonical text of obj whose last line starts at `indent`:
+    the text `json.dumps(to_jsonable(obj), sort_keys=True, indent=2)`
+    gives, built in one walk in the order of `to_jsonable`, so that
+    the same input raises the same error.  The type tests are ordered
+    by cost; the types they separate are disjoint."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, DivisorClass):
+        return _block("[]", list(map(_number, _encode_class(obj))), indent)
+    if isinstance(obj, Fraction):
+        return _number(encode_rational(obj))
+    inner = indent + "  "
+    if isinstance(obj, (dict, Mapping)):
+        members = {}
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise InputError("JSON object keys must be strings")
+            members[k] = _emit(v, inner)
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        # a record, tested before plain tuples, under its JSON names
+        names = getattr(obj, "_json_names", {})
+        members = {names.get(f, f): _emit(v, inner)
+                   for f, v in zip(obj._fields, obj)}
+    elif isinstance(obj, (list, tuple)):
+        return _block("[]", [_emit(v, inner) for v in obj], indent)
+    elif isinstance(obj, float):
+        raise InputError("floating point values cannot be serialized")
+    else:
+        raise InputError(f"cannot serialize {type(obj).__name__}")
+    return _block("{}", [f"{encode_basestring_ascii(k)}: {v}"
+                         for k, v in sorted(members.items())], indent)
+
+
+def _number(v) -> str:
+    """An encoded rational as JSON: an int, or a "p/q" string that needs
+    no escaping."""
+    return str(v) if type(v) is int else f'"{v}"'
+
+
+def _block(brackets: str, items: list, indent: str) -> str:
+    """Items one per line, indented one level below `indent`."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}")
+
+
 def dumps(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return _emit(obj, "") + "\n"
 
 
 def _load_json(path: str):

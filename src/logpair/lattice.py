@@ -20,9 +20,10 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -300,6 +301,41 @@ class SurfaceModel(NamedTuple):
                         if x)
             return Fraction(total, a.den * b.den * self.gram_den)
         return Fraction(total, a.den * b.den)
+
+    def pairing_with(self, a: DivisorClass) -> Callable[[DivisorClass], int]:
+        """The function b -> the integer numerator of a.b over
+        a.den * b.den * gram_den.
+
+        The covector of a (its Gram row) is built once from the non-zero
+        coordinates of a, and each pairing sums over the non-zero
+        entries of that covector only, so pairing one sparse class with
+        many costs little on a large basis.
+        """
+        n = self.basis_size
+        if len(a) != n:
+            raise InputError("dimension mismatch")
+        nums = a.nums
+        if self.kind is ModelKind.CUSTOM:
+            cov: dict[int, int] = {}
+            for k in compress(range(n), nums):
+                cols, entries = self.gram_ints[k]
+                for j, g in zip(cols, entries):
+                    cov[j] = cov.get(j, 0) + nums[k] * g
+        else:
+            head = 1 if self.kind is ModelKind.P2_BLOWUP else 2
+            cov = {k: -nums[k] for k in compress(range(head, n), nums[head:])}
+            if head == 1:
+                cov[0] = nums[0]
+            else:
+                cov[0] = self.degree_e * nums[0] + nums[1]
+                cov[1] = nums[0]
+        cols, weights = tuple(cov), tuple(cov.values())
+
+        def pair(b: DivisorClass) -> int:
+            if len(b) != n:
+                raise InputError("dimension mismatch")
+            return sum(map(mul, weights, map(b.nums.__getitem__, cols)))
+        return pair
 
     def self_intersection(self, a: DivisorClass) -> Fraction:
         return self.intersect(a, a)

@@ -10,6 +10,7 @@ outside the set, and outputs carry that scope marker.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, NotDecomposableError
@@ -56,41 +57,56 @@ def zariski_decompose(
     candidate the remainder still meets negatively."""
     _validate(model, x, candidates)
     cands = list(candidates)
-    pairings = [model.intersect(x, c) for c in cands]
-    active = sorted(i for i, p in enumerate(pairings) if p < 0)
+    # each pairing is computed once, as the integer numerator over
+    # gram_den of the classes times their own denominators: xc[j] pairs
+    # d_x X with d_j c_j, and table[i][j] pairs d_i c_i with d_j c_j,
+    # a row for each candidate once it is active
+    pair_x = model.pairing_with(x)
+    xc = [pair_x(c) for c in cands]
+    table: dict[int, list[int]] = {}
+    active = [i for i, p in enumerate(xc) if p < 0]
     rounds = 0
     while True:
         rounds += 1
+        for i in active:
+            if i not in table:
+                pair = model.pairing_with(cands[i])
+                table[i] = [pair(c) for c in cands]
+        # the system in the scaled classes: d_x N = sum a_i d_i c_i, so
+        # c_i's coefficient in N is a_i d_i / d_x, of the same sign
         if active:
-            gram = [[model.intersect(cands[i], cands[j]) for j in active]
-                    for i in active]
-            coeffs = linalg.solve_linear(gram, [pairings[i] for i in active])
-            if coeffs is None:
+            scaled = linalg.solve_linear([[table[i][j] for j in active]
+                                          for i in active],
+                                         [xc[i] for i in active])
+            if scaled is None:
                 raise NotDecomposableError(
                     "support Gram matrix is not negative definite")
-            if any(a < 0 for a in coeffs):
+            if any(a < 0 for a in scaled):
                 raise NotDecomposableError(
                     "negative coefficient in the candidate combination")
         else:
-            coeffs = []
-        negative = model.zero()
-        for i, a in zip(active, coeffs):
-            negative = negative + a * cands[i]
-        positive = x - negative
-        newly = [i for i in range(len(cands))
-                 if i not in active
-                 and model.intersect(positive, cands[i]) < 0]
+            scaled = []
+        # P.c_j has the sign of xc[j] - sum a_i table[i][j]; scale by
+        # the common denominator of the a_i to stay on integers
+        den = lcm(*(a.denominator for a in scaled))
+        nums = [a.numerator * (den // a.denominator) for a in scaled]
+        newly = [j for j in range(len(cands)) if j not in active
+                 and xc[j] * den < sum(n * table[i][j]
+                                       for i, n in zip(active, nums))]
         if not newly:
-            support = [i for i, a in zip(active, coeffs) if a != 0]
-            kept = [a for a in coeffs if a != 0]
-            return ZariskiDecomposition(
-                positive=positive,
-                negative=negative,
-                support=support,
-                coefficients=kept,
-                rounds=rounds,
-            )
+            break
         active = sorted(active + newly)
+    coeffs = [a * cands[i].den / x.den for i, a in zip(active, scaled)]
+    negative = model.zero()
+    for i, a in zip(active, coeffs):
+        negative = negative + a * cands[i]
+    return ZariskiDecomposition(
+        positive=x - negative,
+        negative=negative,
+        support=[i for i, a in zip(active, coeffs) if a != 0],
+        coefficients=[a for a in coeffs if a != 0],
+        rounds=rounds,
+    )
 
 
 class DecompositionCheck(NamedTuple):

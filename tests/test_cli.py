@@ -413,6 +413,93 @@ def test_oversized_graph_is_input_error(tmp_path, capsys):
             f"{MAX_GRAPH_VERTICES}") in err
 
 
+def _unit(points: int, i: int, value=1) -> list:
+    """value * E_i as a class array on a plane blown up at `points`."""
+    out = [0] * (points + 1)
+    out[i] = value
+    return out
+
+
+def test_vertex_classes_on_a_large_basis_check_fast(tmp_path, capsys):
+    # every vertex class is paired with every later one, but each class
+    # has one non-zero coordinate of 2,001
+    points = MAX_MODEL_POINTS
+    doc = {"model": {"kind": "p2_blowup", "points": points},
+           "vertices": [{"id": f"E{i}", "self": -1,
+                         "class": _unit(points, i)}
+                        for i in range(1, MAX_GRAPH_VERTICES + 1)]}
+    graph = _write_json(tmp_path, "exceptional.json", doc)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "peel", graph)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0, err
+    assert len(json.loads(out)["excluded"]) == MAX_GRAPH_VERTICES
+
+
+@pytest.mark.parametrize("edges,message", [
+    # the first disagreement in vertex order is the one reported: A-C
+    # is checked before A-B, whose pairing no multiplicity can state
+    ([], "edge A-C: class pairing 1 disagrees with stated multiplicity 0"),
+    ([{"u": "C", "v": "A", "mult": 2}],
+     "edge A-C: class pairing 1 disagrees with stated multiplicity 2"),
+    ([{"u": "A", "v": "C"}, {"u": "A", "v": "B"}],
+     "edge A-B: class pairing -1/2 disagrees with stated multiplicity 1"),
+], ids=["missing_edge", "wrong_mult", "fractional"])
+def test_wrong_vertex_pairing_is_input_error(tmp_path, capsys, edges,
+                                             message):
+    # A = E1 - E2, B = (E1 + E4 + E5 + E6)/2 and C = E2 - E3: A.B = -1/2,
+    # A.C = 1 and B.C = 0
+    points = MAX_MODEL_POINTS
+    doc = {"model": {"kind": "p2_blowup", "points": points},
+           "vertices": [
+               {"id": "A", "self": -2,
+                "class": [0, 1, -1] + [0] * (points - 2)},
+               {"id": "C", "self": -2,
+                "class": [0, 0, 1, -1] + [0] * (points - 3)},
+               {"id": "B", "self": -1,
+                "class": [0, "1/2", 0, 0, "1/2", "1/2", "1/2"]
+                + [0] * (points - 6)}],
+           "edges": edges}
+    code, out, err = run_cli(capsys, "peel",
+                             _write_json(tmp_path, "wrong.json", doc))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model,classes,b_self", [
+    # A = E1 - E2, C = E2 - E3 and B = (E4 + E5 + E6 + E7)/2 on a plane
+    ({"kind": "p2_blowup", "points": 7},
+     [[0, 1, -1, 0, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0, 0, 0],
+      [0, 0, 0, 0, "1/2", "1/2", "1/2", "1/2"]], -1),
+    # A = 2e1, C = e2 and B = 2e3 on a Gram over 2
+    ({"kind": "custom", "gram": [["-1/2", "1/2", 0], ["1/2", -2, 0],
+                                 [0, 0, "-1/2"]]},
+     [[2, 0, 0], [0, 1, 0], [0, 0, 2]], -2),
+], ids=["plane_halves", "custom_halves"])
+def test_vertex_classes_with_denominators_check_exactly(tmp_path, capsys,
+                                                        model, classes,
+                                                        b_self):
+    # A and C are (-2)-curves meeting once; B meets neither
+    doc = {"model": model,
+           "vertices": [{"id": vid, "self": self_int, "class": c}
+                        for vid, self_int, c in zip(
+                            "ACB", (-2, -2, b_self), classes)],
+           "edges": [{"u": "A", "v": "C"}]}
+    code, out, err = run_cli(capsys, "peel",
+                             _write_json(tmp_path, "halves.json", doc))
+    assert code == 0, err
+    coefficients = json.loads(out)["coefficients"]
+    assert coefficients["A"] == coefficients["C"] == 1
+    del doc["edges"]
+    code, out, err = run_cli(capsys, "peel",
+                             _write_json(tmp_path, "halves.json", doc))
+    assert code == 1
+    assert ("edge A-C: class pairing 1 disagrees with stated multiplicity "
+            "0") in err
+
+
 def test_oversized_search_grid_is_input_error(capsys):
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "search", "ex4", "--g", "2:1000000000",

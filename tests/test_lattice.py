@@ -293,6 +293,44 @@ def test_custom_intersect_matches_double_loop(zero_share, spelled):
         assert model.intersect(zero, model.divisor(xs)) == 0
 
 
+def _sparse_coeffs(rng, n, nonzero):
+    xs = [0] * n
+    for i in rng.sample(range(n), min(nonzero, n)):
+        xs[i] = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+    return xs
+
+
+@pytest.mark.parametrize("kind", ["plane", "ruled", "custom"])
+def test_pairing_with_matches_the_double_loop(kind):
+    # the covector route against the plain double loop over the Gram
+    # matrix, for sparse and dense classes with their own denominators
+    rng = random.Random(f"pairing-{kind}")
+    for n in (1, 2, 3, 9, 40):
+        if kind == "plane":
+            model = SurfaceModel.plane_blowup(n - 1)
+        elif kind == "ruled":
+            model = SurfaceModel.hirzebruch(rng.randint(0, 5), max(n - 2, 0))
+        else:
+            model = SurfaceModel.custom(_random_gram(rng, n, 0.7, True))
+        n = model.basis_size
+        gram = gram_matrix(model)
+        for _ in range(8):
+            xs = _sparse_coeffs(rng, n, rng.choice((0, 1, 2, n)))
+            a = model.divisor(xs)
+            pair = model.pairing_with(a)
+            for _ in range(4):
+                ys = _sparse_coeffs(rng, n, rng.choice((0, 1, 2, n)))
+                b = model.divisor(ys)
+                num = pair(b)
+                assert type(num) is int
+                assert (Fraction(num, a.den * b.den * model.gram_den)
+                        == _double_loop_intersect(gram, xs, ys))
+        with pytest.raises(InputError, match="dimension mismatch"):
+            pair(DivisorClass([0] * (n + 1)))
+        with pytest.raises(InputError, match="dimension mismatch"):
+            model.pairing_with(DivisorClass([0] * (n + 1)))
+
+
 def test_arithmetic_matches_fraction_coordinatewise():
     rng = random.Random(7)
     scalars = (0, 1, -1, 3, Fraction(1, 3), Fraction(-5, 4), Fraction(6, 2))
