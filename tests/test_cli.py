@@ -413,10 +413,10 @@ def test_oversized_graph_is_input_error(tmp_path, capsys):
             f"{MAX_GRAPH_VERTICES}") in err
 
 
-def _unit(points: int, i: int, value=1) -> list:
-    """value * E_i as a class array on a plane blown up at `points`."""
+def _unit(points: int, i: int) -> list:
+    """E_i as a class array on a plane blown up at `points`."""
     out = [0] * (points + 1)
-    out[i] = value
+    out[i] = 1
     return out
 
 
