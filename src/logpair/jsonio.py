@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from json.encoder import encode_basestring_ascii
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Mapping, Optional, Sequence
 
