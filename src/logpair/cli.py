@@ -311,8 +311,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         manifest_path = getattr(args, "manifest", None)
         if manifest_path:
             doc = run_manifest(argv, inputs, text, __version__)
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                fh.write(dumps(doc))
+            try:
+                with open(manifest_path, "w", encoding="utf-8") as fh:
+                    fh.write(dumps(doc))
+            except OSError as exc:
+                raise InputError(f"cannot write {manifest_path}: {exc}")
         return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

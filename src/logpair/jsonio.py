@@ -167,8 +167,13 @@ def _load_json(path: str):
             return json.load(fh, parse_float=_reject_float)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8, so a file that does not decode is not JSON
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read")
+    except ValueError:  # json.load's last: an integer of too many digits
+        raise InputError(f"{path} holds an integer with too many digits")
 
 
 def _reject_float(s: str):
@@ -181,7 +186,11 @@ def _parse_coefficient(v):
     if type(v) is int:
         return v
     if isinstance(v, str) and _INTEGER_RE.fullmatch(v):
-        return int(v)
+        try:
+            return int(v)
+        except ValueError:  # more digits than an int conversion takes
+            raise InputError(
+                f"integer of {len(v)} characters has too many digits")
     return parse_rational(v)
 
 

@@ -1,18 +1,15 @@
 """Rational surface models and their intersection lattices.
 
-Two concrete models are supported, both presented by an explicit basis
-with a fixed Gram matrix:
-
-* ``plane_blowup(n)``: the blow-up of the projective plane at n points,
-  basis (H, E1, ..., En) with H^2 = 1, Ei^2 = -1, mixed products 0.
-* ``hirzebruch(e, n)``: the blow-up of the degree-e Hirzebruch surface
-  at n points, basis (Dinf, Gamma, E1, ..., En) with Dinf^2 = e,
-  Dinf.Gamma = 1, Gamma^2 = 0, Ei^2 = -1.
-
-A third, abstract kind carries nothing but a user-supplied Gram matrix;
-it exists for dual-graph-only workflows where no global model is needed.
-Classes are exact rational coefficient vectors, stored as integer
-numerators over one common denominator.
+Every model is described the same way: a leading block of basis classes
+with its Gram matrix, kept once as integers over one common denominator,
+followed by ``num_points`` exceptional curves E1, ..., En, each of
+square -1 and orthogonal to everything else.  The block is H (H^2 = 1)
+for ``plane_blowup(n)``; (Dinf, Gamma) with Dinf^2 = e, Dinf.Gamma = 1
+and Gamma^2 = 0 for ``hirzebruch(e, n)``; and the whole user-supplied
+Gram matrix for ``custom(gram)``, a bare lattice for dual-graph-only
+workflows, which has no exceptional curves.  Classes are exact rational
+coefficient vectors, stored as integer numerators over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -41,7 +38,8 @@ def parse_rational(v) -> Fraction:
     """An exact rational from an int, a Fraction or a "p" / "p/q" string.
 
     Floats, booleans and every other spelling (such as "1.5") are
-    rejected with InputError, so no inexact value enters a class.
+    rejected with InputError, so no inexact value enters a class; so is
+    a string with more digits than Python converts to an int.
     """
     if isinstance(v, Fraction):
         return v
@@ -52,7 +50,11 @@ def parse_rational(v) -> Fraction:
     if isinstance(v, str):
         if not RATIONAL_RE.fullmatch(v):
             raise InputError(f"malformed rational {v!r}; use p or p/q")
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ValueError:  # more digits than an int conversion takes
+            raise InputError(
+                f"rational of {len(v)} characters has too many digits")
     if isinstance(v, float):
         raise InputError(
             f"floating point value {v!r} rejected; use p/q strings")
@@ -64,8 +66,7 @@ class DivisorClass:
 
     Stored as integer numerators ``nums`` over one denominator ``den``,
     kept canonical (``den > 0``, ``gcd(den, *nums) == 1``) so equal
-    classes have equal fields.  ``Fraction`` coordinates are built only
-    when read through ``coeffs``, indexing or iteration.
+    classes have equal fields.
     """
 
     __slots__ = ("nums", "den")
@@ -96,23 +97,8 @@ class DivisorClass:
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.den
-        if den == 1:
-            return tuple(map(Fraction, self.nums))
-        return tuple(Fraction(n, den) for n in self.nums)
-
     def __len__(self):
         return len(self.nums)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.coeffs[i]
-        return Fraction(self.nums[i], self.den)
-
-    def __iter__(self):
-        return iter(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, DivisorClass) and self.den == other.den
@@ -148,7 +134,9 @@ class DivisorClass:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return "DivisorClass(%s)" % (", ".join(str(c) for c in self.coeffs))
+        den = self.den
+        return "DivisorClass(%s)" % ", ".join(
+            str(Fraction(n, den)) for n in self.nums)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -175,12 +163,11 @@ class HodgeData(NamedTuple):
 
 class SurfaceModel(NamedTuple):
     kind: ModelKind
-    degree_e: int = 0
-    num_points: int = 0
-    gram_rows: tuple = ()  # custom kind only
-    # custom kind only: per row of gram_rows, its non-zero columns and
+    degree_e: int
+    num_points: int
+    # the leading block's Gram matrix: per row, its non-zero columns and
     # their entries times gram_den, the common denominator, as integers
-    gram_ints: tuple = ()
+    gram_ints: tuple
     gram_den: int = 1
 
     # -- constructors ---------------------------------------------------
@@ -189,7 +176,7 @@ class SurfaceModel(NamedTuple):
     def plane_blowup(n: int) -> "SurfaceModel":
         if n < 0:
             raise InputError("number of blown-up points must be >= 0")
-        return SurfaceModel(ModelKind.P2_BLOWUP, 0, n)
+        return SurfaceModel(ModelKind.P2_BLOWUP, 0, n, (((0,), (1,)),))
 
     @staticmethod
     def hirzebruch(e: int, n: int) -> "SurfaceModel":
@@ -197,19 +184,18 @@ class SurfaceModel(NamedTuple):
             raise InputError("Hirzebruch degree must be >= 0")
         if n < 0:
             raise InputError("number of blown-up points must be >= 0")
-        return SurfaceModel(ModelKind.HIRZEBRUCH, e, n)
+        dinf = ((0, 1), (e, 1)) if e else ((1,), (1,))
+        return SurfaceModel(ModelKind.HIRZEBRUCH, e, n,
+                            (dinf, ((0,), (1,))))
 
     @staticmethod
     def custom(gram: Sequence[Sequence]) -> "SurfaceModel":
-        rows = tuple(tuple(parse_rational(x) for x in row) for row in gram)
+        rows = [[parse_rational(x) for x in row] for row in gram]
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise InputError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise InputError("Gram matrix must be symmetric")
+        if any(len(row) != n for row in rows):
+            raise InputError("Gram matrix must be square")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise InputError("Gram matrix must be symmetric")
         den = lcm(*(x.denominator for row in rows for x in row))
         ints = []
         for row in rows:
@@ -217,26 +203,20 @@ class SurfaceModel(NamedTuple):
             ints.append((cols, tuple(row[j].numerator
                                      * (den // row[j].denominator)
                                      for j in cols)))
-        return SurfaceModel(ModelKind.CUSTOM, 0, 0, rows, tuple(ints), den)
+        return SurfaceModel(ModelKind.CUSTOM, 0, 0, tuple(ints), den)
 
     # -- basis bookkeeping ----------------------------------------------
 
     @property
     def basis_size(self) -> int:
-        if self.kind is ModelKind.P2_BLOWUP:
-            return 1 + self.num_points
-        if self.kind is ModelKind.HIRZEBRUCH:
-            return 2 + self.num_points
-        return len(self.gram_rows)
+        return len(self.gram_ints) + self.num_points
 
     @property
     def hodge(self) -> HodgeData:
-        n = self.num_points
-        if self.kind is ModelKind.P2_BLOWUP:
-            return HodgeData(q=0, p_g=0, h11=n + 1, euler_e=n + 3)
-        if self.kind is ModelKind.HIRZEBRUCH:
-            return HodgeData(q=0, p_g=0, h11=n + 2, euler_e=n + 4)
-        raise InputError("custom models carry no Hodge data")
+        if self.kind is ModelKind.CUSTOM:
+            raise InputError("custom models carry no Hodge data")
+        n = self.basis_size
+        return HodgeData(q=0, p_g=0, h11=n, euler_e=n + 2)
 
     # -- class builders ---------------------------------------------------
 
@@ -254,16 +234,13 @@ class SurfaceModel(NamedTuple):
     def basis_class(self, i: int) -> DivisorClass:
         if not 0 <= i < self.basis_size:
             raise InputError("basis index out of range")
-        return DivisorClass(
-            [1 if j == i else 0 for j in range(self.basis_size)]
-        )
+        return DivisorClass([0] * i + [1] + [0] * (self.basis_size - i - 1))
 
     def exceptional(self, i: int) -> DivisorClass:
         """Ei as a class (i is 1-based, matching the basis labels)."""
         if i < 1 or i > self.num_points:
             raise InputError("exceptional index out of range")
-        offset = 1 if self.kind is ModelKind.P2_BLOWUP else 2
-        return self.basis_class(offset + i - 1)
+        return self.basis_class(len(self.gram_ints) + i - 1)
 
     def plane_class(self, degree, mults: Sequence) -> DivisorClass:
         """degree*H - sum(mults[i] * E(i+1)) for a plane blow-up."""
@@ -286,21 +263,18 @@ class SurfaceModel(NamedTuple):
     # -- intersection theory ----------------------------------------------
 
     def intersect(self, a: DivisorClass, b: DivisorClass) -> Fraction:
-        n = self.basis_size
+        head, den = self.gram_ints, self.gram_den
+        h = len(head)
+        n = h + self.num_points  # the basis size
         if len(a) != n or len(b) != n:
             raise InputError("dimension mismatch")
         an, bn = a.nums, b.nums
-        if self.kind is ModelKind.P2_BLOWUP:
-            total = an[0] * bn[0] - sum(map(mul, an[1:], bn[1:]))
-        elif self.kind is ModelKind.HIRZEBRUCH:
-            total = (self.degree_e * an[0] * bn[0] + an[0] * bn[1]
-                     + an[1] * bn[0] - sum(map(mul, an[2:], bn[2:])))
-        else:
-            total = sum(x * sum(map(mul, entries, map(bn.__getitem__, cols)))
-                        for x, (cols, entries) in zip(an, self.gram_ints)
-                        if x)
-            return Fraction(total, a.den * b.den * self.gram_den)
-        return Fraction(total, a.den * b.den)
+        total = -den * sum(map(mul, an[h:], bn[h:]))
+        for x, (cols, entries) in zip(an, head):
+            if x:
+                for j, g in zip(cols, entries):
+                    total += x * g * bn[j]
+        return Fraction(total, a.den * b.den * den)
 
     def pairing_with(self, a: DivisorClass) -> Callable[[DivisorClass], int]:
         """The function b -> the integer numerator of a.b over
@@ -314,21 +288,12 @@ class SurfaceModel(NamedTuple):
         n = self.basis_size
         if len(a) != n:
             raise InputError("dimension mismatch")
-        nums = a.nums
-        if self.kind is ModelKind.CUSTOM:
-            cov: dict[int, int] = {}
-            for k in compress(range(n), nums):
-                cols, entries = self.gram_ints[k]
-                for j, g in zip(cols, entries):
-                    cov[j] = cov.get(j, 0) + nums[k] * g
-        else:
-            head = 1 if self.kind is ModelKind.P2_BLOWUP else 2
-            cov = {k: -nums[k] for k in compress(range(head, n), nums[head:])}
-            if head == 1:
-                cov[0] = nums[0]
-            else:
-                cov[0] = self.degree_e * nums[0] + nums[1]
-                cov[1] = nums[0]
+        nums, head, den = a.nums, self.gram_ints, self.gram_den
+        h = len(head)
+        cov = {k: -den * nums[k] for k in compress(range(h, n), nums[h:])}
+        for k in compress(range(h), nums):
+            for j, g in zip(*head[k]):
+                cov[j] = cov.get(j, 0) + nums[k] * g
         cols, weights = tuple(cov), tuple(cov.values())
 
         def pair(b: DivisorClass) -> int:
@@ -359,8 +324,10 @@ class SurfaceModel(NamedTuple):
         if self.kind is ModelKind.HIRZEBRUCH:
             return {"kind": "hirzebruch", "e": self.degree_e,
                     "points": self.num_points}
-        return {"kind": "custom",
-                "gram": [list(row) for row in self.gram_rows]}
+        rows = [dict(zip(*row)) for row in self.gram_ints]
+        return {"kind": "custom", "gram": [
+            [Fraction(row.get(j, 0), self.gram_den) for j in range(len(rows))]
+            for row in rows]}
 
 
 def blow_up_transform(
@@ -373,14 +340,10 @@ def blow_up_transform(
     The canonical class needs no explicit handling: on the enlarged model
     canonical_class() already equals pullback(K) + E_new.
     """
-    if model.kind is ModelKind.CUSTOM:
-        raise InputError("custom models cannot be blown up")
+    model.hodge  # raises InputError on a custom model: no surface to blow up
     if len(classes) != len(mults):
         raise InputError("one multiplicity per class required")
-    if model.kind is ModelKind.P2_BLOWUP:
-        bigger = SurfaceModel.plane_blowup(model.num_points + 1)
-    else:
-        bigger = SurfaceModel.hirzebruch(model.degree_e, model.num_points + 1)
+    bigger = model._replace(num_points=model.num_points + 1)
     out = []
     for c, m in zip(classes, mults):
         if len(c) != model.basis_size:

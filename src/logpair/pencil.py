@@ -58,7 +58,7 @@ def _counts(model: SurfaceModel, c: DivisorClass) -> tuple[
     """
     if c.den != 1:
         return None, None
-    if any(v > 0 for v in c.nums[model.basis_size - model.num_points:]):
+    if any(v > 0 for v in c.nums[len(model.gram_ints):]):
         return None, None
     square = model.self_intersection(c)
     count = (square - model.intersect(c, model.canonical_class())) / 2

@@ -391,6 +391,71 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, role, doc,
     assert "Traceback" not in err
 
 
+def _assert_one_error_line(code, err, message):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_input_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_bytes(b'{"vertices": [{"id": "\xe9", "self": -1}]}')
+    code, out, err = run_cli(capsys, "peel", str(path))
+    assert out == ""
+    _assert_one_error_line(code, err, "is not valid JSON: 'utf-8' codec")
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "peel", str(path))
+    assert out == ""
+    _assert_one_error_line(code, err, "is nested too deeply to read")
+
+
+# a numeral past the 4,300 digits that Python converts to an int
+HUGE = "1" + "0" * 5_000
+
+
+@pytest.mark.parametrize("role, text, message", [
+    ("model", '{"kind": "p2_blowup", "points": %s}' % HUGE,
+     "holds an integer with too many digits"),
+    ("graph", '{"vertices": [{"id": "A", "self": "-%s"}]}' % HUGE,
+     "rational of 5002 characters has too many digits"),
+    ("candidates", '[[1, "%s"]]' % HUGE,
+     "integer of 5001 characters has too many digits"),
+    ("candidates", '[[1, %s]]' % HUGE, "holds an integer with too many digits"),
+    ("class", HUGE, "integer of 5001 characters has too many digits"),
+    ("class", "1/" + HUGE, "rational of 5003 characters has too many digits"),
+], ids=["points", "self", "class-string", "class-number", "arg", "arg-pq"])
+def test_integer_with_too_many_digits_is_input_error(tmp_path, capsys, role,
+                                                     text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    model = f"{FIXTURES}/one_point_model.json"
+    cands = f"{FIXTURES}/one_point_candidates.json"
+    argv = {"model": ["zariski", str(path), "--class", "1,2",
+                      "--candidates", cands],
+            "graph": ["peel", str(path)],
+            "candidates": ["zariski", model, "--class", "1,2",
+                           "--candidates", str(path)],
+            "class": ["zariski", model, "--class", f"1,{text}",
+                      "--candidates", cands]}[role]
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    _assert_one_error_line(code, err, message)
+
+
+def test_manifest_in_missing_directory_is_input_error(tmp_path, capsys):
+    mpath = tmp_path / "missing" / "m.json"
+    code, out, err = run_cli(capsys, "peel", f"{FIXTURES}/sextic_graph.json",
+                             "--manifest", str(mpath))
+    assert json.loads(out)["bound_ok"] in (True, False)
+    _assert_one_error_line(code, err, f"cannot write {mpath}")
+    assert not mpath.parent.exists()
+
+
 def _rod(n: int) -> dict:
     return {"vertices": [{"id": f"R{i}", "self": -2} for i in range(n)],
             "edges": [{"u": f"R{i}", "v": f"R{i + 1}"}

@@ -89,7 +89,7 @@ def test_dataclass_serialization():
 
 def test_parse_class_integer_spellings():
     c = parse_class_arg("+3,-0,007,4/2")
-    assert list(c) == [3, 0, 7, 2] and c.den == 1
+    assert c.nums == (3, 0, 7, 2) and c.den == 1
     with pytest.raises(InputError):
         parse_class_arg("1,true")
     with pytest.raises(InputError):
@@ -126,7 +126,7 @@ def test_float_rejected_at_file_boundary(tmp_path):
 def test_parse_class_arg():
     m = SurfaceModel.plane_blowup(2)
     c = parse_class_arg("1,-2,3/2", m)
-    assert list(c) == [1, -2, Fraction(3, 2)]
+    assert c == m.divisor([1, -2, Fraction(3, 2)])
     with pytest.raises(InputError):
         parse_class_arg("1,2", m)
     with pytest.raises(InputError):

@@ -23,7 +23,7 @@ def test_plane_gram_and_canonical():
         [0, 0, -1],
     ]
     k = m.canonical_class()
-    assert list(k) == [-3, 1, 1]
+    assert k == m.divisor([-3, 1, 1])
     assert m.self_intersection(k) == 9 - 2
 
 
@@ -35,7 +35,11 @@ def test_hirzebruch_gram_and_canonical():
         [0, 0, -1],
     ]
     k = m.canonical_class()
-    assert list(k) == [-2, 0, 1]
+    assert k == m.divisor([-2, 0, 1])
+    # the leading block is stored without zero entries, e = 0 included
+    for e in range(4):
+        head = SurfaceModel.hirzebruch(e, 1).gram_ints
+        assert all(all(entries) for _, entries in head)
     # K^2 = 8 on the unblown surface, drops by one per point
     assert m.self_intersection(k) == 7
 
@@ -43,15 +47,18 @@ def test_hirzebruch_gram_and_canonical():
 def test_class_arithmetic_and_immutability():
     a = DivisorClass([1, 2])
     b = DivisorClass([3, -1])
-    assert list(a + b) == [4, 1]
-    assert list(a - b) == [-2, 3]
-    assert list(-a) == [-1, -2]
-    assert list(2 * a) == [2, 4]
-    assert list(a * Fraction(1, 2)) == [Fraction(1, 2), 1]
+    assert a + b == DivisorClass([4, 1])
+    assert a - b == DivisorClass([-2, 3])
+    assert -a == DivisorClass([-1, -2])
+    assert 2 * a == DivisorClass([2, 4])
+    assert a * Fraction(1, 2) == DivisorClass([Fraction(1, 2), 1])
     assert a == DivisorClass([1, 2])
     assert hash(a) == hash(DivisorClass([1, 2]))
     with pytest.raises(AttributeError):
-        a.coeffs = (0, 0)
+        a.nums = (0, 0)
+    with pytest.raises(AttributeError):
+        a.den = 2
+    assert (a.nums, a.den) == ((1, 2), 1)
 
 
 def test_floats_rejected_everywhere():
@@ -114,19 +121,33 @@ def test_hodge_data():
     h2 = m2.hodge
     h2.check()
     assert (h2.q, h2.p_g, h2.h11, h2.euler_e) == (0, 0, 5, 7)
+    # the closed forms per kind: h11 = n + 1 and e(S) = n + 3 on the
+    # plane blown up at n points, n + 2 and n + 4 on a Hirzebruch surface
+    for n in range(13):
+        h = SurfaceModel.plane_blowup(n).hodge
+        h.check()
+        assert h == (0, 0, n + 1, n + 3)
+        for e in range(6):
+            h = SurfaceModel.hirzebruch(e, n).hodge
+            h.check()
+            assert h == (0, 0, n + 2, n + 4)
 
 
 def test_exceptional_and_builders():
     m = SurfaceModel.plane_blowup(3)
-    assert list(m.exceptional(1)) == [0, 1, 0, 0]
-    assert list(m.exceptional(3)) == [0, 0, 0, 1]
+    assert m.exceptional(1) == m.divisor([0, 1, 0, 0])
+    assert m.exceptional(3) == m.divisor([0, 0, 0, 1])
     with pytest.raises(InputError):
         m.exceptional(4)
-    assert list(m.plane_class(2, [1, 1])) == [2, -1, -1, 0]
+    assert m.plane_class(2, [1, 1]) == m.divisor([2, -1, -1, 0])
     with pytest.raises(InputError):
         m.plane_class(2, [1, 1, 1, 1])
     mh = SurfaceModel.hirzebruch(1, 2)
-    assert list(mh.ruled_class(2, 3, [1])) == [2, 3, -1, 0]
+    assert mh.exceptional(1) == mh.divisor([0, 0, 1, 0])
+    assert mh.exceptional(2) == mh.divisor([0, 0, 0, 1])
+    with pytest.raises(InputError):
+        mh.exceptional(3)
+    assert mh.ruled_class(2, 3, [1]) == mh.divisor([2, 3, -1, 0])
     with pytest.raises(InputError):
         mh.plane_class(1, [])
 
@@ -136,9 +157,19 @@ def test_blow_up_transform_extends_basis():
     line = m.plane_class(1, [1])
     m2, (moved,) = blow_up_transform(m, [line], [1])
     assert m2.num_points == 2
-    assert list(moved) == [1, -1, -1]
+    assert moved == m2.divisor([1, -1, -1])
     # the enlarged canonical class equals pullback + new exceptional
-    assert list(m2.canonical_class()) == [-3, 1, 1]
+    assert m2.canonical_class() == m2.divisor([-3, 1, 1])
+    # the enlarged model is the one the constructors build, hash included
+    for n in range(4):
+        bigger, _ = blow_up_transform(SurfaceModel.plane_blowup(n), [], [])
+        assert bigger == SurfaceModel.plane_blowup(n + 1)
+        assert hash(bigger) == hash(SurfaceModel.plane_blowup(n + 1))
+        for e in range(4):
+            bigger, _ = blow_up_transform(SurfaceModel.hirzebruch(e, n),
+                                          [], [])
+            assert bigger == SurfaceModel.hirzebruch(e, n + 1)
+            assert hash(bigger) == hash(SurfaceModel.hirzebruch(e, n + 1))
 
 
 def test_blow_up_preserves_log_genus():
@@ -187,14 +218,14 @@ def _random_coeffs(rng, n):
     return out
 
 
-def _gram_entries(model) -> list:
+def _gram_entries(model, gram) -> list:
     """Nonzero (i, j, value) entries of the closed-form Gram matrix,
-    written out independently of the model's own pairing code."""
+    written out independently of the model's own pairing code; a custom
+    model's come from the matrix `gram` it was built from."""
     n = model.basis_size
     if model.kind is ModelKind.CUSTOM:
-        return [(i, j, Fraction(model.gram_rows[i][j]))
-                for i in range(n) for j in range(n)
-                if model.gram_rows[i][j] != 0]
+        return [(i, j, Fraction(v)) for i, row in enumerate(gram)
+                for j, v in enumerate(row) if v != 0]
     if model.kind is ModelKind.P2_BLOWUP:
         lead = [(0, 0, Fraction(1))]
         first = 1
@@ -216,17 +247,19 @@ def _random_custom(rng, n):
         for j in range(i, n):
             v = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
             rows[i][j] = rows[j][i] = v
-    return SurfaceModel.custom(rows)
+    return rows
 
 
 def _models(rng):
+    """(model, the Gram matrix a custom model was built from, or None)"""
     for n in range(21):
-        yield SurfaceModel.plane_blowup(n)
+        yield SurfaceModel.plane_blowup(n), None
     for g in (0, 1, 5, 17, 40):  # up to 2 + 4*40 + 4 = 166 coordinates
         for e in (0, rng.randint(0, g), g):
-            yield SurfaceModel.hirzebruch(e, 4 * g + 4)
+            yield SurfaceModel.hirzebruch(e, 4 * g + 4), None
     for n in (1, 3, 6):
-        yield _random_custom(rng, n)
+        gram = _random_custom(rng, n)
+        yield SurfaceModel.custom(gram), gram
 
 
 def _assert_canonical(c):
@@ -236,9 +269,9 @@ def _assert_canonical(c):
 
 def test_intersect_matches_fraction_oracle():
     rng = random.Random(20230219)
-    for model in _models(rng):
+    for model, gram in _models(rng):
         n = model.basis_size
-        entries = _gram_entries(model)
+        entries = _gram_entries(model, gram)
         for _ in range(4):
             xs, ys = _random_coeffs(rng, n), _random_coeffs(rng, n)
             a, b = model.divisor(xs), model.divisor(ys)
@@ -278,8 +311,11 @@ def test_custom_intersect_matches_double_loop(zero_share, spelled):
     for n in (1, 2, 5, 12, 31):
         gram = _random_gram(rng, n, zero_share, spelled)
         model = SurfaceModel.custom(gram)
-        assert model.gram_rows == tuple(
-            tuple(Fraction(v) for v in row) for row in gram)
+        # kept once, non-zero entries only, and rebuilt exactly
+        assert all(all(entries) for _, entries in model.gram_ints)
+        assert model.describe() == {
+            "kind": "custom",
+            "gram": [[Fraction(v) for v in row] for row in gram]}
         for _ in range(6):
             xs, ys = _random_coeffs(rng, n), _random_coeffs(rng, n)
             if rng.random() < 0.3:
@@ -331,6 +367,11 @@ def test_pairing_with_matches_the_double_loop(kind):
             model.pairing_with(DivisorClass([0] * (n + 1)))
 
 
+def _coords(c) -> list:
+    """A class's coordinates as Fractions, read off its numerators."""
+    return [Fraction(v, c.den) for v in c.nums]
+
+
 def test_arithmetic_matches_fraction_coordinatewise():
     rng = random.Random(7)
     scalars = (0, 1, -1, 3, Fraction(1, 3), Fraction(-5, 4), Fraction(6, 2))
@@ -338,17 +379,19 @@ def test_arithmetic_matches_fraction_coordinatewise():
         for _ in range(10):
             xs, ys = _random_coeffs(rng, n), _random_coeffs(rng, n)
             a, b = DivisorClass(xs), DivisorClass(ys)
-            assert list(a) == [Fraction(x) for x in xs]
-            assert list(a + b) == [x + y for x, y in zip(xs, ys)]
-            assert list(a - b) == [x - y for x, y in zip(xs, ys)]
-            assert list(-a) == [-x for x in xs]
+            assert _coords(a) == [Fraction(x) for x in xs]
+            assert _coords(a + b) == [x + y for x, y in zip(xs, ys)]
+            assert _coords(a - b) == [x - y for x, y in zip(xs, ys)]
+            assert _coords(-a) == [-x for x in xs]
             s = rng.choice(scalars)
-            assert list(a * s) == [x * s for x in xs]
-            assert list(s * a) == [x * s for x in xs]
+            assert _coords(a * s) == [x * s for x in xs]
+            assert _coords(s * a) == [x * s for x in xs]
             for c in (a, b, a + b, a - b, -a, a * s, s * a):
                 _assert_canonical(c)
-                assert all(isinstance(v, Fraction) for v in c.coeffs)
-            assert [a[i] for i in range(n)] == list(a.coeffs)
+                assert all(type(v) is int for v in c.nums)
+                assert type(c.den) is int
+            assert repr(a) == "DivisorClass(%s)" % ", ".join(
+                str(Fraction(x)) for x in xs)
 
 
 def test_classes_are_canonical_across_routes():
@@ -378,5 +421,5 @@ def test_transforms_keep_canonical_form():
     m = SurfaceModel.plane_blowup(2)
     c = m.divisor([1, Fraction(1, 2), 0])
     _, (up,) = blow_up_transform(m, [c], [Fraction(1, 3)])
-    assert list(up) == [1, Fraction(1, 2), 0, Fraction(-1, 3)]
+    assert up == DivisorClass([1, Fraction(1, 2), 0, Fraction(-1, 3)])
     assert up.den == 6
