@@ -2,8 +2,11 @@
 
 Subcommands: peel, zariski, invariants, pencil, example, search,
 selftest.  Output is canonical JSON by default or an aligned text
-table with --format table.  Exit codes: 0 on success, 1 on input
-errors (including argument errors), 2 on internal failures.
+table with --format table.  Each report is assembled once, in
+`_report` or in the layer it names, and `jsonio.dumps` emits it; the
+table is rendered from the parsed JSON text, so both formats show the
+same values.  Exit codes: 0 on success, 1 on input errors (including
+argument errors), 2 on internal failures.
 
 Start-up loads only the core every command shares: jsonio, through
 which each report is read and written (it loads the lattice, dualgraph
@@ -14,14 +17,15 @@ other layer is imported inside the branch that runs it.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
 from . import __version__
 from .errors import InputError, InternalError
 from .jsonio import (dumps, load_classes, load_graph, load_model,
-                     parse_class_arg, render_table, run_manifest,
-                     to_jsonable)
+                     parse_class_arg, record_fields, render_table,
+                     run_manifest)
 from .peeling import bark
 
 
@@ -203,12 +207,7 @@ def _report(args) -> tuple[object, list[str]]:
     if args.command == "peel":
         bk = bark(load_graph(args.graph))
         return {
-            "coefficients": bk.coefficients,
-            "sharp_coefficients": bk.sharp_coefficients,
-            "bark_square": bk.bark_square,
-            "gram_square": bk.gram_square,
-            "tips": bk.tips,
-            "bound_ok": bk.bound_ok,
+            **record_fields(bk, omit=("report",)),
             "segments": [
                 {"kind": s.kind, "vertices": s.vertices,
                  "attach": s.attach}
@@ -229,8 +228,8 @@ def _report(args) -> tuple[object, list[str]]:
         z = zariski_decompose(model, cls, candidates)
         checks = verify_decomposition(model, cls, candidates, z)
         return {
-            **to_jsonable(z),
-            "checks": {**to_jsonable(checks), "all_ok": checks.all_ok},
+            **record_fields(z),
+            "checks": {**record_fields(checks), "all_ok": checks.all_ok},
         }, [args.model, args.candidates]
 
     if args.command == "invariants":
@@ -241,7 +240,7 @@ def _report(args) -> tuple[object, list[str]]:
                                graph)
         ebr = rep.euler_bound
         return {
-            **to_jsonable(rep.invariants),
+            **record_fields(rep.invariants),
             "boundary_square": rep.boundary_square,
             "checks": {
                 "noether": rep.noether_holds,
@@ -298,7 +297,7 @@ def _run(args) -> tuple[str, int, list[str]]:
     if args.format == "json":
         return dumps(report), 0, inputs
     table = _search_table if args.command == "search" else _kv_table
-    return table(to_jsonable(report)), 0, inputs
+    return table(json.loads(dumps(report))), 0, inputs
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, number_text
 from .lattice import DivisorClass, SurfaceModel
 from .linalg import solve_linear
 
@@ -123,7 +123,8 @@ class DualGraph:
                 stated = self._adj[u].get(w, 0)
                 if num != stated * den:
                     raise InputError(
-                        f"edge {u}-{w}: class pairing {Fraction(num, den)} "
+                        f"edge {u}-{w}: class pairing "
+                        f"{number_text(Fraction(num, den))} "
                         f"disagrees with stated multiplicity {stated}"
                     )
 

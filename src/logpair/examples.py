@@ -22,6 +22,7 @@ from typing import Optional
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
 from .invariants import invariant_report
+from .jsonio import record_fields
 from .lattice import DivisorClass, SurfaceModel
 # zariski and pencil through the module, for the reason given in
 # zariski.py
@@ -98,25 +99,14 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
         "invariants": rep.invariants,
         "noether_holds": rep.noether_holds,
         "euler_bound": rep.euler_bound,
-        "bark": {
-            "coefficients": bk.coefficients,
-            "bark_square": bk.bark_square,
-            "gram_square": bk.gram_square,
-            "tips": bk.tips,
-            "bound_ok": bk.bound_ok,
-        },
+        "bark": record_fields(bk, omit=("sharp_coefficients", "report")),
         "bmy": {
             "p_sq": rep.p_sq,
             "n_sq": bk.gram_square,
             "c2bar": rep.invariants.c2bar,
             "holds": rep.bmy_holds,
         },
-        "zariski": {
-            "P": z.positive,
-            "N": z.negative,
-            "support": z.support,
-            "nef_scope": z.nef_scope,
-        },
+        "zariski": record_fields(z, omit=("coefficients", "rounds")),
         "pencil": pencil.analyze_adjoint_system(model, boundary, candidates),
     }
 

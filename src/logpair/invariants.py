@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .dualgraph import DualGraph
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, number_text
 from .lattice import DivisorClass, HodgeData, SurfaceModel
 from .peeling import BarkResult
 # bark through the module, for the reason given in zariski.py
@@ -67,7 +67,8 @@ def log_chern(
     if pa_class != pa_graph:
         raise InputError(
             f"inconsistent arithmetic genus sources: adjunction gives "
-            f"{pa_class}, the dual graph gives {pa_graph}")
+            f"{number_text(pa_class)}, the dual graph gives "
+            f"{number_text(pa_graph)}")
     pa = int(pa_class)
     l = graph.total_edge_multiplicity
     k = model.canonical_class()

@@ -5,24 +5,27 @@ numbers, everything else as "p/q" in lowest terms with positive q.
 Result records (NamedTuples) serialize field by field, under the names
 of their `_json_names` map where it renames a field.
 Emission is canonical (sorted keys, two-space indent, trailing
-newline) so identical inputs give byte-identical outputs.  `dumps`
-writes that text in one walk over the records, `Fraction`s and
-`DivisorClass`es, with strings escaped by `json`'s own ASCII encoder:
-it gives the bytes of `json.dumps(to_jsonable(x), sort_keys=True,
-indent=2)` plus a newline without building the intermediate tree or
-running `json`'s pure-Python indenting encoder.  `to_jsonable` builds
-that tree for `--format table` and for the `zariski` and `invariants`
-reports, which merge a record's fields into a block of their own.
+newline) so identical inputs give byte-identical outputs.
+
+`dumps` is the one definition of a report's JSON shape.  It writes the
+text in one walk over the records, `Fraction`s and `DivisorClass`es,
+with strings escaped by `json`'s own ASCII encoder; `--format table`
+renders the parsed text.  A report that merges a record's fields into
+a block of its own takes them from `record_fields`, the step `dumps`
+uses for every record.  The byte contract, `json.dumps` of a reference
+tree with sorted keys and an indent of two, lives in
+tests/test_emit.py.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import Any, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
@@ -71,43 +74,20 @@ def _encode_class(c: DivisorClass) -> list:
     return out
 
 
-def to_jsonable(obj) -> Any:
-    if isinstance(obj, Fraction):
-        return encode_rational(obj)
-    if isinstance(obj, DivisorClass):
-        return _encode_class(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, Mapping):
-        out = {}
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise InputError("JSON object keys must be strings")
-            out[k] = to_jsonable(v)
-        return out
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
-        # a record, tested before plain tuples: a field serializes under
-        # its own name unless the class's _json_names renames it
-        names = getattr(obj, "_json_names", {})
-        return {names.get(f, f): to_jsonable(v)
-                for f, v in zip(obj._fields, obj)}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        raise InputError("floating point values cannot be serialized")
-    raise InputError(f"cannot serialize {type(obj).__name__}")
+def record_fields(record, omit: Sequence[str] = ()) -> dict:
+    """A record's fields but those named in `omit`, keyed by JSON name:
+    a field keeps its own name unless the class's `_json_names` renames
+    it.  The values are left as they are."""
+    names = getattr(record, "_json_names", {})
+    return {names.get(f, f): v for f, v in zip(record._fields, record)
+            if f not in omit}
 
 
 def _emit(obj, indent: str) -> str:
-    """The canonical text of obj whose last line starts at `indent`:
-    the text `json.dumps(to_jsonable(obj), sort_keys=True, indent=2)`
-    gives, built in one walk in the order of `to_jsonable`, so that
-    the same input raises the same error.  The type tests are ordered
-    by cost; the types they separate are disjoint."""
+    """The canonical text of obj whose last line starts at `indent`.
+    Object members are emitted in sorted key order; a fault is reported
+    for the first member, in insertion order, that has one.  The type
+    tests are ordered by cost; the types they separate are disjoint."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -128,10 +108,9 @@ def _emit(obj, indent: str) -> str:
                 raise InputError("JSON object keys must be strings")
             members[k] = _emit(v, inner)
     elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
-        # a record, tested before plain tuples, under its JSON names
-        names = getattr(obj, "_json_names", {})
-        members = {names.get(f, f): _emit(v, inner)
-                   for f, v in zip(obj._fields, obj)}
+        # a record, tested before plain tuples
+        members = {k: _emit(v, inner)
+                   for k, v in record_fields(obj).items()}
     elif isinstance(obj, (list, tuple)):
         return _block("[]", [_emit(v, inner) for v in obj], indent)
     elif isinstance(obj, float):
@@ -158,7 +137,11 @@ def _block(brackets: str, items: list, indent: str) -> str:
 
 
 def dumps(obj) -> str:
-    return _emit(obj, "") + "\n"
+    try:
+        return _emit(obj, "") + "\n"
+    except ValueError:  # an int past the limit of its conversion to text
+        raise InputError("the report holds a number of more than "
+                         f"{sys.get_int_max_str_digits():,} digits")
 
 
 def _load_json(path: str):

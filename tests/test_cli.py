@@ -447,6 +447,30 @@ def test_integer_with_too_many_digits_is_input_error(tmp_path, capsys, role,
     _assert_one_error_line(code, err, message)
 
 
+NINES = "9" * 3_000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp: ["invariants", f"{FIXTURES}/sextic_model.json",
+                  f"{FIXTURES}/sextic_graph.json", "--class",
+                  NINES + ",0" * 8],
+     "adjunction gives <6,000 digits>, the dual graph gives 2"),
+    # A = n(H + E1) pairs to 0 with itself and to n^2 with B = nH
+    (lambda tmp: ["peel", _write_json(tmp, "graph.json", {
+        "model": {"kind": "p2_blowup", "points": 1},
+        "vertices": [{"id": "A", "self": 0, "class": [NINES, NINES]},
+                     {"id": "B", "self": 0, "class": [NINES, 0]}]})],
+     "edge A-B: class pairing <6,000 digits> disagrees"),
+], ids=["genus", "pairing"])
+def test_message_number_of_too_many_digits_is_input_error(tmp_path, capsys,
+                                                          argv, message):
+    # 3,000-digit coefficients give numbers of 6,000 digits, more than
+    # `str` converts: the message gives their digit count
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert out == ""
+    _assert_one_error_line(code, err, message)
+
+
 def test_manifest_in_missing_directory_is_input_error(tmp_path, capsys):
     mpath = tmp_path / "missing" / "m.json"
     code, out, err = run_cli(capsys, "peel", f"{FIXTURES}/sextic_graph.json",

@@ -1,7 +1,9 @@
-"""The one-pass emitter `dumps` against the two-pass reference.
+"""The byte contract of `dumps`, against a two-pass reference.
 
+`dumps` is the package's one JSON walker.  `to_jsonable` below is the
+reference: it builds the plain tree a report stands for, and
 `dumps(x)` must give exactly the text of
-`json.dumps(to_jsonable(x), sort_keys=True, indent=2) + "\\n"`, and an
+`json.dumps(to_jsonable(x), sort_keys=True, indent=2) + "\\n"`.  An
 input that cannot be serialized must raise the same `InputError` text
 as `to_jsonable` does on it.  The values are nested dicts, lists,
 tuples and records (with and without `_json_names`) of `Fraction`,
@@ -15,12 +17,45 @@ keys and values of unknown types.
 import json
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import pytest
 
 from logpair import DivisorClass, InputError, ZariskiDecomposition
-from logpair.jsonio import dumps, to_jsonable
+from logpair.jsonio import dumps, encode_rational
+
+
+def to_jsonable(obj):
+    """The plain tree of ints, strings, lists and dicts that obj
+    serializes as, raising the InputError that `dumps` must raise."""
+    if isinstance(obj, Fraction):
+        return encode_rational(obj)
+    if isinstance(obj, DivisorClass):
+        return [encode_rational(Fraction(n, obj.den)) for n in obj.nums]
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, Mapping):
+        out = {}
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise InputError("JSON object keys must be strings")
+            out[k] = to_jsonable(v)
+        return out
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        # a record, tested before plain tuples: a field serializes under
+        # its own name unless the class's _json_names renames it
+        names = getattr(obj, "_json_names", {})
+        return {names.get(f, f): to_jsonable(v)
+                for f, v in zip(obj._fields, obj)}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, float):
+        raise InputError("floating point values cannot be serialized")
+    raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
 class Pair(NamedTuple):

@@ -8,6 +8,7 @@ from logpair import (DualGraph, InputError, SurfaceModel, Vertex,
                      bmy_check, euler_bound_check, genus_bound,
                      invariant_report, log_chern, log_genus_rational,
                      main_theorem_predicate, noether_check)
+from logpair.errors import MESSAGE_DIGITS, number_text
 from logpair.examples import sextic_config
 
 
@@ -34,6 +35,22 @@ def test_log_chern_rejects_mismatched_genus():
     wrong = model.plane_class(6, [2] * 7 + [1])
     with pytest.raises(InputError, match="inconsistent arithmetic genus"):
         log_chern(model, wrong, graph)
+
+
+def test_number_text_counts_digits_past_the_threshold():
+    assert [number_text(v) for v in (0, -7, Fraction(-3, 4))] == [
+        "0", "-7", "-3/4"]
+    short = 10 ** MESSAGE_DIGITS - 1
+    assert number_text(short) == str(short)
+    assert number_text(Fraction(-short - 1, 3)) == (
+        f"-<{MESSAGE_DIGITS + 1:,} digits>/3")
+    # the count from the bit length agrees with str() at every length
+    # str() converts, across each power of ten and two
+    for k in range(MESSAGE_DIGITS, 4_000, 13):
+        two = 2 ** (k * 10 // 3)
+        for n in (10 ** k, 10 ** (k + 1) - 1, two, two - 1):
+            assert number_text(n) == f"<{len(str(n)):,} digits>"
+    assert number_text(10 ** 10_000) == "<10,001 digits>"
 
 
 def test_log_chern_rejects_degenerate_boundary():

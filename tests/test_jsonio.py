@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from logpair.jsonio import (dumps, encode_rational, load_classes,
                             load_graph, load_model, parse_class,
                             parse_class_arg, parse_graph, parse_model,
                             parse_rational, render_table, run_manifest,
-                            sha256_file, to_jsonable)
+                            record_fields, sha256_file)
 
 
 def test_rational_encoding_round_trip():
@@ -52,23 +53,23 @@ def test_dumps_canonical_form():
     assert json.loads(text) == {"a": [2, "-1/3"], "b": "1/2"}
 
 
-def test_to_jsonable_rejects_floats():
-    with pytest.raises(InputError):
-        to_jsonable({"x": 1.5})
-    with pytest.raises(InputError):
-        dumps([0.25])
+def test_dumps_rejects_floats():
+    for x in ({"x": 1.5}, [0.25]):
+        with pytest.raises(InputError,
+                           match="floating point values cannot be"):
+            dumps(x)
 
 
 def test_divisor_class_serialization():
     c = DivisorClass([1, Fraction(-2, 3)])
-    assert to_jsonable(c) == [1, "-2/3"]
+    assert json.loads(dumps(c)) == [1, "-2/3"]
     rng = random.Random(5)
     for n in (1, 4, 60):
         for _ in range(20):
             xs = [Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 6, 9)))
                   for _ in range(n)]
             c = DivisorClass(xs)
-            assert to_jsonable(c) == [encode_rational(x) for x in xs]
+            assert json.loads(dumps(c)) == [encode_rational(x) for x in xs]
             text = ",".join(str(encode_rational(x)) for x in xs)
             assert parse_class_arg(text) == c
 
@@ -79,12 +80,42 @@ def test_dataclass_serialization():
     m = SurfaceModel.plane_blowup(1)
     z = ZariskiDecomposition(m.divisor([1, 0]), m.divisor([0, 2]), [0],
                              [Fraction(2, 3)], 1)
-    assert to_jsonable(z) == {
+    assert json.loads(dumps(z)) == {
         "P": [1, 0], "N": [0, 2], "support": [0],
         "coefficients": ["2/3"], "rounds": 1, "nef_scope": NEF_SCOPE}
     fp = FixedPart(DivisorClass([1, Fraction(-1, 2)]), Fraction(-1), None)
-    assert to_jsonable([fp]) == [
+    assert json.loads(dumps([fp])) == [
         {"class": [1, "-1/2"], "pairing": -1, "dim_bound": None}]
+    # record_fields is the same step on one level: values stay as they
+    # are, and `omit` names fields, not their JSON names
+    assert record_fields(z) == {
+        "P": z.positive, "N": z.negative, "support": [0],
+        "coefficients": [Fraction(2, 3)], "rounds": 1,
+        "nef_scope": NEF_SCOPE}
+    assert record_fields(z, omit=("positive", "rounds")) == {
+        "N": z.negative, "support": [0],
+        "coefficients": [Fraction(2, 3)], "nef_scope": NEF_SCOPE}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts ints of any length")
+def test_dumps_refuses_numbers_past_the_int_text_limit():
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("the int conversion limit is switched off")
+    big = 10 ** limit  # one digit more than the limit
+    message = f"the report holds a number of more than {limit:,} digits"
+    # int.__repr__, encode_rational on an integral and on a proper
+    # Fraction, and _number on a class's integer and "p/q" coefficients
+    for value in (big, -big, Fraction(big), Fraction(big, 3),
+                  Fraction(1, big), DivisorClass([1, big]),
+                  DivisorClass([Fraction(big, 7), Fraction(1, 2)])):
+        report = {"invariants": {"pa_D": value}, "ok": True}
+        with pytest.raises(InputError) as info:
+            dumps(report)
+        assert str(info.value) == message
+    # a number of exactly `limit` digits is still written out
+    assert dumps(big // 10) == "1" + "0" * (limit - 1) + "\n"
 
 
 def test_parse_class_integer_spellings():

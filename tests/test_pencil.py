@@ -1,5 +1,6 @@
 """Adjoint system analysis: dimension counts, bigness, fiber extraction."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from logpair import (InputError, NoPencilError, SurfaceModel,
                      analyze_adjoint_system, pencil)
-from logpair.jsonio import to_jsonable
+from logpair.jsonio import dumps
 
 
 def _parameter_counts(kind, e, degs, mults):
@@ -160,7 +161,7 @@ def test_analyze_sextic_adjoint():
     assert res.multiple == 1
     assert res.fiber == res.residual
     assert (res.g, res.k, res.b) == (0, 4, 0)
-    doc = to_jsonable(res)
+    doc = json.loads(dumps(res))
     assert {k: doc[k] for k in ("g", "k", "b")} == {"g": 0, "k": 4, "b": 0}
 
 
