@@ -83,15 +83,12 @@ class DualGraph:
         self._by_id = {v.id: v for v in self.vertices}
         if len(self._by_id) != len(self.vertices):
             raise InputError("duplicate vertex ids")
-        seen_pairs = set()
         self._adj: dict[str, dict[str, int]] = {v.id: {} for v in self.vertices}
         for e in self.edges:
             if e.u not in self._by_id or e.v not in self._by_id:
                 raise InputError(f"edge {e.u}-{e.v} references unknown vertex")
-            key = frozenset((e.u, e.v))
-            if key in seen_pairs:
+            if e.v in self._adj[e.u]:
                 raise InputError(f"duplicate edge {e.u}-{e.v}")
-            seen_pairs.add(key)
             self._adj[e.u][e.v] = e.mult
             self._adj[e.v][e.u] = e.mult
         self.model = model
@@ -231,14 +228,6 @@ class SegmentReport(NamedTuple):
         return out
 
 
-def _chain_eligible(g: DualGraph, vid: str) -> bool:
-    # a vertex on an edge of multiplicity >= 2 cannot sit in a chain
-    v = g.vertex(vid)
-    if v.genus != 0:
-        return False
-    return all(m == 1 for m in g._adj[vid].values())
-
-
 def bark_rhs(g: DualGraph, ids: Sequence[str]) -> list[int]:
     """Right-hand side -2 + beta(C_j) of the bark system on these vertices."""
     return [-2 + g.branching_number(v) for v in ids]
@@ -264,52 +253,49 @@ def _admissibility(
     return None, tuple(coeffs)
 
 
+def _arm(g: DualGraph, prev: str, cur: str) -> list[str]:
+    """The chain from `cur` away from `prev`: it passes every vertex of
+    branching number 2 and ends with the first vertex of another one."""
+    arm = [cur]
+    while len(g._adj[cur]) == 2:
+        prev, cur = cur, next(w for w in g._adj[cur] if w != prev)
+        arm.append(cur)
+    return arm
+
+
 def _path_order(g: DualGraph, comp: list[str]) -> Optional[list[str]]:
     """Order a component as a simple path, or None if it is not one."""
     if len(comp) == 1:
-        return list(comp) if not g._adj[comp[0]] else None
-    degs = {vid: len(g._adj[vid]) for vid in comp}
-    ends = [vid for vid in comp if degs[vid] == 1]
-    if len(ends) != 2 or any(d > 2 for d in degs.values()):
+        return list(comp)
+    # connected with every branching number <= 2: a cycle has no ends
+    ends = [vid for vid in comp if len(g._adj[vid]) == 1]
+    if len(ends) != 2 or any(len(g._adj[vid]) > 2 for vid in comp):
         return None
-    order = [min(ends, key=comp.index)]
-    prev = None
-    while True:
-        nxts = [w for w in g._adj[order[-1]] if w != prev]
-        if not nxts:
-            break
-        prev = order[-1]
-        order.append(nxts[0])
-    return order if len(order) == len(comp) else None
+    [nxt] = g._adj[ends[0]]
+    return [ends[0]] + _arm(g, ends[0], nxt)
 
 
-def _walk_from_tip(g: DualGraph, tip: str) -> Segment:
-    """Grow a chain from a beta=1 vertex until it attaches or dies."""
+def _twig(g: DualGraph, tip: str) -> Segment:
+    """The chain from a beta=1 vertex up to the vertex it attaches to."""
     if g.vertex(tip).genus != 0:
         return Segment("twig", (tip,), reason=f"{tip} is not rational")
-    path = [tip]
-    prev = None
-    while True:
-        cur = path[-1]
-        candidates = [w for w in g._adj[cur] if w != prev]
-        if not candidates:
-            # cannot happen for a tip inside a non-path component
-            return Segment("twig", tuple(path),
-                           reason="chain never reaches a branch vertex")
-        nxt = candidates[0]
-        if g._adj[cur][nxt] != 1:
-            return Segment("twig", tuple(path), attach=nxt,
-                           reason=f"edge {cur}-{nxt} has multiplicity "
-                                  f"{g._adj[cur][nxt]}")
-        if g.branching_number(nxt) >= 3:
-            reason, coeffs = _admissibility(g, path)
-            return Segment("twig", tuple(path), attach=nxt, reason=reason,
-                           coefficients=coeffs)
-        if _chain_eligible(g, nxt) and g.branching_number(nxt) == 2:
-            prev, path = cur, path + [nxt]
-            continue
-        return Segment("twig", tuple(path), attach=nxt,
-                       reason=f"attachment {nxt} is not a branch vertex")
+    [(nxt, mult)] = g._adj[tip].items()
+    if mult != 1:
+        return Segment("twig", (tip,), attach=nxt,
+                       reason=f"edge {tip}-{nxt} has multiplicity {mult}")
+    # the arm ends off branching number 2, so the chain stops on it: at a
+    # branch vertex, or at one not rational or on a multiple edge
+    arm = _arm(g, tip, nxt)
+    stop = next(i for i, vid in enumerate(arm)
+                if len(g._adj[vid]) != 2 or g.vertex(vid).genus != 0
+                or any(m != 1 for m in g._adj[vid].values()))
+    path, attach = (tip, *arm[:stop]), arm[stop]
+    if len(g._adj[attach]) < 3:
+        return Segment("twig", path, attach=attach,
+                       reason=f"attachment {attach} is not a branch vertex")
+    reason, coeffs = _admissibility(g, path)
+    return Segment("twig", path, attach=attach, reason=reason,
+                   coefficients=coeffs)
 
 
 def classify_segments(g: DualGraph) -> SegmentReport:
@@ -324,35 +310,23 @@ def classify_segments(g: DualGraph) -> SegmentReport:
     report = SegmentReport([])
     for comp in g.components():
         path = _path_order(g, comp)
-        if path is not None:
-            if all(g._adj[v][w] == 1
-                   for v, w in zip(path, path[1:])):
-                reason, coeffs = _admissibility(g, path)
-                report.segments.append(
-                    Segment("rod", tuple(path), reason=reason,
-                            coefficients=coeffs))
-                continue
-            # path-shaped but with a multiple edge: fall through and let
-            # the tip walks report why nothing survives
-        centers = [v for v in comp if g.branching_number(v) >= 3]
-        comp_simple = all(m == 1 for v in comp for m in g._adj[v].values())
-        if (comp_simple and len(centers) == 1
-                and len(g._adj[centers[0]]) == 3
-                and len(comp) >= 4
-                and all(len(g._adj[v]) <= 2 for v in comp if v != centers[0])
-                and sum(len(g._adj[v]) for v in comp) == 2 * (len(comp) - 1)):
+        if path is not None and all(g._adj[v][w] == 1
+                                    for v, w in zip(path, path[1:])):
+            reason, coeffs = _admissibility(g, path)
+            report.segments.append(
+                Segment("rod", tuple(path), reason=reason,
+                        coefficients=coeffs))
+            continue
+        # a path with a multiple edge falls through to its tip walks; a
+        # star is a tree with simple edges and one branch vertex, of beta 3
+        centers = [v for v in comp if len(g._adj[v]) >= 3]
+        if (len(centers) == 1 and len(g._adj[centers[0]]) == 3
+                and sum(len(g._adj[v]) for v in comp) == 2 * (len(comp) - 1)
+                and all(m == 1 for v in comp for m in g._adj[v].values())):
             center = centers[0]
-            branches = []
-            for first in sorted(g._adj[center], key=comp.index):
-                branch = [first]
-                prev = center
-                while True:
-                    nxts = [w for w in g._adj[branch[-1]] if w != prev]
-                    if not nxts:
-                        break
-                    prev = branch[-1]
-                    branch.append(nxts[0])
-                branches.append(tuple(reversed(branch)))  # tip first
+            branches = tuple(  # tip first
+                tuple(reversed(_arm(g, center, first)))
+                for first in sorted(g._adj[center], key=comp.index))
             reason, coeffs = _admissibility(g, comp)
             bad = [a for a in coeffs if not 0 < a <= 1]
             if bad:
@@ -362,12 +336,12 @@ def classify_segments(g: DualGraph) -> SegmentReport:
                 reason = f"bark coefficient {bad[0]} outside (0, 1]"
                 coeffs = ()
             report.segments.append(
-                Segment("fork", tuple(comp), branches=tuple(branches),
+                Segment("fork", tuple(comp), branches=branches,
                         reason=reason, coefficients=coeffs))
             if reason is None or bad:
                 continue  # a star demoted by its coefficients offers no twigs
             # any other inadmissible star still offers its branches as twigs
         for tip in comp:
-            if g.branching_number(tip) == 1:
-                report.segments.append(_walk_from_tip(g, tip))
+            if len(g._adj[tip]) == 1:
+                report.segments.append(_twig(g, tip))
     return report

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .dualgraph import DualGraph
-from .errors import InputError, InternalError, number_text
+from .errors import InputError, number_text
 from .lattice import DivisorClass, HodgeData, SurfaceModel
 from .peeling import BarkResult
 # bark through the module, for the reason given in zariski.py
@@ -74,11 +74,6 @@ def log_chern(
     k = model.canonical_class()
     c1bar_sq = model.self_intersection(k + boundary)
     c2bar = Fraction(hodge.euler_e + 2 * (pa - 1 - l))
-    # the Hodge-number route; hodge.check() above already makes it agree
-    e_open = Fraction(
-        hodge.h11 + 2 * hodge.p_g - 4 * hodge.q + 2 * pa - 2 * l)
-    if e_open != c2bar:
-        raise InternalError("Euler number routes disagree")
     chi_o = 1 - hodge.q + hodge.p_g
     chi_bar = chi_o + model.intersect(k + boundary, boundary) / 2
     pg_log, h1_log, m = log_genus_rational(graph, hodge)
@@ -88,7 +83,7 @@ def log_chern(
         pa_D=pa,
         l=l,
         chi_bar=chi_bar,
-        e_open=e_open,
+        e_open=c2bar,
         pg_log=pg_log,
         h1_log=h1_log,
         m=m,

@@ -65,8 +65,7 @@ class _Check:
 
 # -- criterion 1: first worked configuration end-to-end --------------------
 
-def check_ex2_pencil() -> tuple[bool, str]:
-    c = _Check()
+def check_ex2_pencil(c: _Check) -> None:
     t0 = time.perf_counter()
     report = run_example("ex2")
     elapsed = time.perf_counter() - t0
@@ -89,13 +88,11 @@ def check_ex2_pencil() -> tuple[bool, str]:
     c.expect(elapsed < 1.0, f"runtime {elapsed:.3f}s exceeds 1s")
     c.note(f"margin 1, pairing -1, residual H-E8, g=0, b=0, k=4, "
            f"{elapsed:.3f}s")
-    return not c.problems, c.detail()
 
 
 # -- criterion 2: invariants of the same configuration ---------------------
 
-def check_ex2_invariants() -> tuple[bool, str]:
-    c = _Check()
+def check_ex2_invariants(c: _Check) -> None:
     model, boundary, graph, _ = sextic_config()
     pa_class = model.arithmetic_genus(boundary)
     pa_graph = graph.arithmetic_genus()
@@ -117,7 +114,6 @@ def check_ex2_invariants() -> tuple[bool, str]:
     c.expect(rep.bmy_holds, "surface inequality fails")
     c.note("p_a=2 both ways, 1+5+6+4+8=24=12*2, e_open=c2bar=5, "
            "inequality 1/3<=5 holds")
-    return not c.problems, c.detail()
 
 
 # -- criterion 3: peeling closed forms plus randomized bound ---------------
@@ -164,8 +160,7 @@ def random_bark_graph(rng: random.Random) -> DualGraph:
     return _star_graph(0, s(), arms)
 
 
-def check_peeling() -> tuple[bool, str]:
-    c = _Check()
+def check_peeling(c: _Check) -> None:
     # single (-d) twig: the solve gives tip coefficient 1/d, hence a
     # boundary-sharp multiplicity of 1 - 1/d; both are checked
     for d in range(2, 10):
@@ -204,7 +199,6 @@ def check_peeling() -> tuple[bool, str]:
                  f"bound violated: {bk.bark_square} < -{bk.tips}")
     c.note("closed forms for d=2..9 and r=1..8; bound held on "
            f"{count} randomized admissible graphs")
-    return not c.problems, c.detail()
 
 
 # -- criterion 4: decomposition properties --------------------------------
@@ -224,8 +218,7 @@ def random_zariski_input(rng: random.Random) -> tuple[
     return m, x, pool[:rng.randint(1, min(8, len(pool)))]
 
 
-def check_zariski() -> tuple[bool, str]:
-    c = _Check()
+def check_zariski(c: _Check) -> None:
     m = SurfaceModel.plane_blowup(1)
     x = m.divisor([1, 2])
     e1 = m.exceptional(1)
@@ -262,14 +255,11 @@ def check_zariski() -> tuple[bool, str]:
                  f"idempotence failed on draw {done}")
     c.note(f"H+2E1 -> P=H, N=2E1 (all four properties re-verified); "
            f"{done} randomized inputs order-independent and idempotent")
-    return not c.problems, c.detail()
 
 
 # -- criterion 5: second family sweep --------------------------------------
 
-def check_ex3_sweep() -> tuple[bool, str]:
-    c = _Check()
-    ks = []
+def check_ex3_sweep(c: _Check) -> None:
     for a in range(2, 7):
         model, boundary, _, candidates = degenerate_plane_config(a)
         p = analyze_adjoint_system(model, boundary, candidates)
@@ -282,25 +272,22 @@ def check_ex3_sweep() -> tuple[bool, str]:
         c.equal(p.multiple, 2 * a - 2, f"a={a}: multiple")
         c.equal(p.k, 3, f"a={a}: computed k")
         c.expect(p.k != 3 * a, f"a={a}: discrepancy flag vanished")
-        ks.append(p.k)
     c.note("pairing -1 for a=2..6, residual (2a-2)(H-E0), computed k=3 "
            "vs reference 3a flagged")
-    return not c.problems, c.detail()
 
 
 # -- criterion 6: ruled family sweep and grid search -----------------------
 
-def check_family_search() -> tuple[bool, str]:
-    c = _Check()
+def check_family_search(c: _Check) -> None:
     for g in range(2, 31):
         for e in range(0, g + 1):
             inst = FamilyInstance(g, e, 8, 1)
             m = inst.model()
             f = inst.fiber(m)
-            if m.self_intersection(f) != 0:
-                c.expect(False, f"(g,e)=({g},{e}): fiber square nonzero")
-            if m.arithmetic_genus(f) != g:
-                c.expect(False, f"(g,e)=({g},{e}): fiber genus wrong")
+            c.expect(m.self_intersection(f) == 0,
+                     f"(g,e)=({g},{e}): fiber square nonzero")
+            c.expect(m.arithmetic_genus(f) == g,
+                     f"(g,e)=({g},{e}): fiber genus wrong")
     for g in range(9, 19):
         for e in range(0, 10):
             for x in range(5, 10):
@@ -309,10 +296,8 @@ def check_family_search() -> tuple[bool, str]:
                     m = inst.model()
                     got = m.intersect(inst.boundary(m), inst.fiber(m))
                     want = x * (g + 1 + e) + 2 * y - 8 * g - 8
-                    if got != want:
-                        c.expect(False,
-                                 f"pairing formula off at "
-                                 f"(g,e,x,y)=({g},{e},{x},{y})")
+                    c.expect(got == want, f"pairing formula off at "
+                                          f"(g,e,x,y)=({g},{e},{x},{y})")
     # two derivations of each x=8, y=1 threshold: the e-window, which
     # reduced_bounds_x8_y1 reads, and the per-point evaluator
     for g in range(8, 41):
@@ -347,13 +332,11 @@ def check_family_search() -> tuple[bool, str]:
     c.note(f"fiber checks 0<=e<=g<=30, pairing grid 10x10x5x5, "
            f"reductions on g in [8,40], (10,3) flagged, grid in "
            f"{elapsed:.3f}s")
-    return not c.problems, c.detail()
 
 
 # -- criterion 7: genus invariance under point blow-up ---------------------
 
-def check_blowup_invariance() -> tuple[bool, str]:
-    c = _Check()
+def check_blowup_invariance(c: _Check) -> None:
     rng = random.Random(77113)
     for i in range(100):
         n = rng.randint(0, 5)
@@ -371,16 +354,14 @@ def check_blowup_invariance() -> tuple[bool, str]:
         # boundary transform keeps p_a: strict transform plus (m-1)
         # copies of the new curve is the pullback minus one copy
         adjusted = cls2 + (mult - 1) * m2.exceptional(m2.num_points)
-        if m2.arithmetic_genus(adjusted) != m.arithmetic_genus(cls):
-            c.expect(False, f"genus drifted on draw {i} (mult {mult})")
+        c.expect(m2.arithmetic_genus(adjusted) == m.arithmetic_genus(cls),
+                 f"genus drifted on draw {i} (mult {mult})")
     c.note("p_a preserved on 100 random transforms, mult 1 and 2")
-    return not c.problems, c.detail()
 
 
 # -- criterion 8: classification predicates and the genus cap --------------
 
-def check_predicates() -> tuple[bool, str]:
-    c = _Check()
+def check_predicates(c: _Check) -> None:
     # the window clause constrains nothing at g+k=2; at g+k=3 the
     # boundary clause allows base genus at most 2
     for g, k, b in [(1, 1, 2), (1, 1, 3), (1, 1, 5), (1, 2, 2),
@@ -394,10 +375,9 @@ def check_predicates() -> tuple[bool, str]:
     c.equal(genus_bound(1, Fraction(0)), Fraction(1), "cap at (1,0)")
     c.note("window passes for (1,1,b in {2,3,5}), (1,2,2), (2,1,2); "
            "fails for (2,2,3); caps (2,4)->3 and (1,0)->1")
-    return not c.problems, c.detail()
 
 
-CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
+CRITERIA: list[tuple[int, str, Callable[[_Check], None]]] = [
     (1, "first configuration end-to-end", check_ex2_pencil),
     (2, "first configuration invariants", check_ex2_invariants),
     (3, "peeling suite", check_peeling),
@@ -412,9 +392,10 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 def run_criterion(number: int) -> CriterionResult:
     for num, name, fn in CRITERIA:
         if num == number:
+            c = _Check()
             t0 = time.perf_counter()
-            passed, detail = fn()
-            return CriterionResult(num, name, passed, detail,
+            fn(c)
+            return CriterionResult(num, name, not c.problems, c.detail(),
                                    time.perf_counter() - t0)
     raise ValueError(f"no criterion {number}")
 

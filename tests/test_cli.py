@@ -369,6 +369,17 @@ MALFORMED = [
      'each vertex its own "class" array'),
     ("graph", '{"vertices": [', "is not valid JSON"),
     ("candidates", {"candidates": 3}, "expected an array of classes"),
+    # classes on only some vertices
+    ("graph", {"model": {"kind": "p2_blowup", "points": 1},
+               "vertices": [{"id": "L", "self": 0, "class": [1, -1]},
+                            {"id": "E", "self": -1}],
+               "edges": [{"u": "L", "v": "E"}]},
+     "class_map is missing vertex E"),
+    ("graph", {"vertices": [GRAPH_VERTEX, {"id": "B", "self": -2}],
+               "edges": [{"u": "A", "v": "B"}, {"u": "B", "v": "A"}]},
+     "duplicate edge B-A"),
+    ("candidates", [[0, 1], 5],
+     "a divisor class must be an array of rationals"),
 ]
 
 
@@ -385,10 +396,8 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, role, doc,
             "candidates": ["zariski", model, "--class", "1,2",
                            "--candidates", str(path)]}[role]
     code, out, err = run_cli(capsys, *argv)
-    assert code == 1
     assert out == ""
-    assert message in err
-    assert "Traceback" not in err
+    _assert_one_error_line(code, err, message)
 
 
 def _assert_one_error_line(code, err, message):
@@ -412,6 +421,14 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "peel", str(path))
     assert out == ""
     _assert_one_error_line(code, err, "is nested too deeply to read")
+
+
+def test_empty_class_is_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "zariski", f"{FIXTURES}/one_point_model.json", "--class=",
+        "--candidates", f"{FIXTURES}/one_point_candidates.json")
+    assert out == ""
+    _assert_one_error_line(code, err, "empty class vector")
 
 
 # a numeral past the 4,300 digits that Python converts to an int

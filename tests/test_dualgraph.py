@@ -2,12 +2,14 @@
 
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from logpair import (DualGraph, Edge, InputError, SurfaceModel, Vertex,
                      classify_segments)
+from logpair.dualgraph import Segment, SegmentReport, _admissibility
 from logpair.jsonio import load_graph
 from logpair.selftest import random_bark_graph
 
@@ -70,6 +72,12 @@ def test_graph_validation():
         Edge("A", "B", 0)
     with pytest.raises(InputError):
         Vertex("A", -1, 0)
+    # an edge given twice, in either direction, is refused as written
+    ab = [Vertex("A", 0, -2), Vertex("B", 0, -2)]
+    for second in (Edge("A", "B"), Edge("B", "A")):
+        with pytest.raises(InputError,
+                           match=f"^duplicate edge {second.u}-{second.v}$"):
+            DualGraph(ab, [Edge("A", "B"), second])
 
 
 def test_class_map_validation():
@@ -233,3 +241,176 @@ def test_fork_outside_coefficient_range_excluded():
     assert fork.kind == "fork" and center(fork) == "C"
     assert fork.reason == "bark coefficient 0 outside (0, 1]"
     assert fork.coefficients == ()
+
+
+# -- the classifier as it was before one chain walk served every shape ------
+
+
+def _old_chain_eligible(g, vid):
+    v = g.vertex(vid)
+    if v.genus != 0:
+        return False
+    return all(m == 1 for m in g._adj[vid].values())
+
+
+def _old_path_order(g, comp):
+    if len(comp) == 1:
+        return list(comp) if not g._adj[comp[0]] else None
+    degs = {vid: len(g._adj[vid]) for vid in comp}
+    ends = [vid for vid in comp if degs[vid] == 1]
+    if len(ends) != 2 or any(d > 2 for d in degs.values()):
+        return None
+    order = [min(ends, key=comp.index)]
+    prev = None
+    while True:
+        nxts = [w for w in g._adj[order[-1]] if w != prev]
+        if not nxts:
+            break
+        prev = order[-1]
+        order.append(nxts[0])
+    return order if len(order) == len(comp) else None
+
+
+def _old_walk_from_tip(g, tip):
+    if g.vertex(tip).genus != 0:
+        return Segment("twig", (tip,), reason=f"{tip} is not rational")
+    path = [tip]
+    prev = None
+    while True:
+        cur = path[-1]
+        candidates = [w for w in g._adj[cur] if w != prev]
+        if not candidates:
+            return Segment("twig", tuple(path),
+                           reason="chain never reaches a branch vertex")
+        nxt = candidates[0]
+        if g._adj[cur][nxt] != 1:
+            return Segment("twig", tuple(path), attach=nxt,
+                           reason=f"edge {cur}-{nxt} has multiplicity "
+                                  f"{g._adj[cur][nxt]}")
+        if g.branching_number(nxt) >= 3:
+            reason, coeffs = _admissibility(g, path)
+            return Segment("twig", tuple(path), attach=nxt, reason=reason,
+                           coefficients=coeffs)
+        if _old_chain_eligible(g, nxt) and g.branching_number(nxt) == 2:
+            prev, path = cur, path + [nxt]
+            continue
+        return Segment("twig", tuple(path), attach=nxt,
+                       reason=f"attachment {nxt} is not a branch vertex")
+
+
+def _old_classify_segments(g):
+    """Three hand-written chain walks: the path order, the fork
+    branches and the tip walk, each with its own loop."""
+    report = SegmentReport([])
+    for comp in g.components():
+        path = _old_path_order(g, comp)
+        if path is not None:
+            if all(g._adj[v][w] == 1
+                   for v, w in zip(path, path[1:])):
+                reason, coeffs = _admissibility(g, path)
+                report.segments.append(
+                    Segment("rod", tuple(path), reason=reason,
+                            coefficients=coeffs))
+                continue
+        centers = [v for v in comp if g.branching_number(v) >= 3]
+        comp_simple = all(m == 1 for v in comp for m in g._adj[v].values())
+        if (comp_simple and len(centers) == 1
+                and len(g._adj[centers[0]]) == 3
+                and len(comp) >= 4
+                and all(len(g._adj[v]) <= 2 for v in comp if v != centers[0])
+                and sum(len(g._adj[v]) for v in comp) == 2 * (len(comp) - 1)):
+            center = centers[0]
+            branches = []
+            for first in sorted(g._adj[center], key=comp.index):
+                branch = [first]
+                prev = center
+                while True:
+                    nxts = [w for w in g._adj[branch[-1]] if w != prev]
+                    if not nxts:
+                        break
+                    prev = branch[-1]
+                    branch.append(nxts[0])
+                branches.append(tuple(reversed(branch)))
+            reason, coeffs = _admissibility(g, comp)
+            bad = [a for a in coeffs if not 0 < a <= 1]
+            if bad:
+                reason = f"bark coefficient {bad[0]} outside (0, 1]"
+                coeffs = ()
+            report.segments.append(
+                Segment("fork", tuple(comp), branches=tuple(branches),
+                        reason=reason, coefficients=coeffs))
+            if reason is None or bad:
+                continue
+        for tip in comp:
+            if g.branching_number(tip) == 1:
+                report.segments.append(_old_walk_from_tip(g, tip))
+    return report
+
+
+def _component_pairs(rng, n):
+    """Vertex index pairs of one connected shape on n vertices."""
+    shape = rng.choice(["path", "star", "tree", "cycle", "tail", "dense"])
+    if shape == "star" and n >= 4:
+        arms = [[i] for i in (1, 2, 3)]
+        for i in range(4, n):
+            rng.choice(arms).append(i)
+        return {(a, b) for arm in arms for a, b in zip([0] + arm, arm)}
+    if shape in ("cycle", "tail") and n >= 3:
+        k = n if shape == "cycle" else rng.randint(3, n)
+        pairs = {(i, (i + 1) % k) for i in range(k)}
+        return pairs | {(rng.randrange(i), i) for i in range(k, n)}
+    if shape == "path":
+        return {(i, i + 1) for i in range(n - 1)}
+    pairs = {(rng.randrange(i), i) for i in range(1, n)}
+    if shape == "dense":
+        pairs |= {tuple(rng.sample(range(n), 2)) for _ in range(n // 2)}
+    return pairs
+
+
+def _random_graph(rng):
+    """One to three components of cycles, cycles with tails, paths,
+    stars and trees; some vertices of genus 1 or square -1, 0 or +1,
+    some edges of multiplicity 2, in a shuffled order."""
+    vertices, edges = [], []
+    for c in range(rng.randint(1, 3)):
+        n = rng.randint(1, 6)
+        ids = [f"{'PQR'[c]}{i}" for i in range(n)]
+        vertices += [Vertex(v, int(rng.random() < 0.06),
+                            rng.choice([-4, -3, -2, -2, -2, -2, -1, 0, 1]))
+                     for v in ids]
+        for a, b in sorted({tuple(sorted(p))
+                            for p in _component_pairs(rng, n)}):
+            u, v = (ids[a], ids[b]) if rng.random() < 0.5 else (ids[b], ids[a])
+            edges.append((u, v, 2 if rng.random() < 0.06 else 1))
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return DualGraph(vertices, [Edge(*e) for e in edges])
+
+
+REASON_KINDS = {
+    "not rational": r"\S+ is not rational",
+    "(-1)": r"\S+ is a \(-1\) component",
+    "not definite": r"Gram matrix is not negative definite",
+    "coefficient range": r"bark coefficient \S+ outside \(0, 1\]",
+    "multiple edge": r"edge \S+-\S+ has multiplicity \d+",
+    "attachment": r"attachment \S+ is not a branch vertex",
+}
+
+
+def test_one_chain_walk_matches_the_three_walks():
+    rng = random.Random(17003)
+    seen = set()
+    for _ in range(3000):
+        g = _random_graph(rng)
+        want = _old_classify_segments(g)
+        got = classify_segments(g)
+        assert got.segments == want.segments
+        assert got.tips == want.tips
+        for seg in want.segments:
+            seen.add((seg.kind, seg.admissible))
+            if seg.reason is not None:
+                [kind] = [k for k, pattern in REASON_KINDS.items()
+                          if re.fullmatch(pattern, seg.reason)]
+                seen.add(kind)
+    assert seen == ({(kind, ok) for kind in ("rod", "twig", "fork")
+                     for ok in (True, False)} | set(REASON_KINDS))
