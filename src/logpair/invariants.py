@@ -57,7 +57,6 @@ def log_chern(
     graph: DualGraph,
 ) -> LogInvariants:
     hodge = model.hodge
-    hodge.check()
     if boundary.is_zero():
         raise InputError("boundary class must be nonzero")
     if not boundary.is_integral():

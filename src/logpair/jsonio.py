@@ -57,23 +57,6 @@ MAX_GRAPH_VERTICES = 256
 MAX_CANDIDATES = 32
 
 
-def encode_rational(v: Fraction):
-    if v.denominator == 1:
-        return int(v)
-    return f"{v.numerator}/{v.denominator}"
-
-
-def _encode_class(c: DivisorClass) -> list:
-    den = c.den
-    if den == 1:
-        return list(c.nums)
-    out = []
-    for n in c.nums:
-        g = gcd(n, den)
-        out.append(n // g if g == den else f"{n // g}/{den // g}")
-    return out
-
-
 def record_fields(record, omit: Sequence[str] = ()) -> dict:
     """A record's fields but those named in `omit`, keyed by JSON name:
     a field keeps its own name unless the class's `_json_names` renames
@@ -97,9 +80,10 @@ def _emit(obj, indent: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, DivisorClass):
-        return _block("[]", list(map(_number, _encode_class(obj))), indent)
+        den = obj.den
+        return _block("[]", [_rational(n, den) for n in obj.nums], indent)
     if isinstance(obj, Fraction):
-        return _number(encode_rational(obj))
+        return _rational(obj.numerator, obj.denominator)
     inner = indent + "  "
     if isinstance(obj, (dict, Mapping)):
         members = {}
@@ -121,10 +105,15 @@ def _emit(obj, indent: str) -> str:
                          for k, v in sorted(members.items())], indent)
 
 
-def _number(v) -> str:
-    """An encoded rational as JSON: an int, or a "p/q" string that needs
-    no escaping."""
-    return str(v) if type(v) is int else f'"{v}"'
+def _rational(num: int, den: int) -> str:
+    """The JSON text of num/den for den > 0: a bare integer, or a "p/q"
+    string in lowest terms, which needs no escaping."""
+    if den == 1:
+        return f"{num}"
+    g = gcd(num, den)
+    if g == den:
+        return f"{num // g}"
+    return f'"{num // g}/{den // g}"'
 
 
 def _block(brackets: str, items: list, indent: str) -> str:

@@ -155,11 +155,6 @@ class HodgeData(NamedTuple):
     def is_rational_type(self) -> bool:
         return self.q == 0 and self.p_g == 0
 
-    def check(self) -> None:
-        # e(S) = 2 - 4q + 2p_g + h11 for the surfaces modeled here
-        if self.euler_e != 2 - 4 * self.q + 2 * self.p_g + self.h11:
-            raise InputError("inconsistent Hodge data")
-
 
 class SurfaceModel(NamedTuple):
     kind: ModelKind
@@ -215,6 +210,7 @@ class SurfaceModel(NamedTuple):
     def hodge(self) -> HodgeData:
         if self.kind is ModelKind.CUSTOM:
             raise InputError("custom models carry no Hodge data")
+        # e(S) = 2 - 4q + 2p_g + h11 holds by construction
         n = self.basis_size
         return HodgeData(q=0, p_g=0, h11=n, euler_e=n + 2)
 
@@ -307,10 +303,12 @@ class SurfaceModel(NamedTuple):
 
     def canonical_class(self) -> DivisorClass:
         if self.kind is ModelKind.P2_BLOWUP:
-            return self.divisor([-3] + [1] * self.num_points)
-        if self.kind is ModelKind.HIRZEBRUCH:
-            return self.divisor([-2, self.degree_e - 2] + [1] * self.num_points)
-        raise InputError("custom models have no canonical class")
+            head = (-3,)
+        elif self.kind is ModelKind.HIRZEBRUCH:
+            head = (-2, self.degree_e - 2)
+        else:
+            raise InputError("custom models have no canonical class")
+        return DivisorClass._make(head + (1,) * self.num_points, 1)
 
     def arithmetic_genus(self, c: DivisorClass) -> Fraction:
         """p_a(c) = c.(c+K)/2 + 1 by adjunction."""

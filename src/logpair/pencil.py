@@ -116,9 +116,8 @@ def analyze_adjoint_system(
     if model.self_intersection(fiber) != 0:
         raise NoPencilError(
             "residual is not a multiple of a square-zero class")
+    # an integer: the fiber is integral, and c.(c + K) is even for integral c
     g = model.arithmetic_genus(fiber)
-    if g.denominator != 1:
-        raise NoPencilError("fiber genus is not an integer")
     k = model.intersect(boundary, fiber)
     if k.denominator != 1:
         raise NoPencilError("boundary pairing with the fiber is not integral")

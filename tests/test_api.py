@@ -1,6 +1,7 @@
 """Public API guard: every exported name, every public function and
 every public method or property of a public class is in use inside the
-package, and no module imports a name it never reads.
+package, and no module imports a name it never reads.  The library's
+reachable refusals raise their `InputError` texts.
 
 A name that no module of the package reads is a library-only wrapper;
 it should either feed a report or be deleted.  References are read
@@ -14,6 +15,12 @@ import pathlib
 import pytest
 
 import logpair
+from logpair import DivisorClass, DualGraph, InputError, SurfaceModel, Vertex
+from logpair.examples import run_example
+from logpair.jsonio import render_table
+from logpair.lattice import blow_up_transform, parse_rational
+from logpair.search import run_search
+from logpair.zariski import zariski_decompose
 
 PACKAGE = pathlib.Path(logpair.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -101,3 +108,48 @@ def _unused_imports(path: pathlib.Path) -> list:
 def test_no_unused_imports():
     paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+PLANE = SurfaceModel.plane_blowup(2)
+SHORT = DivisorClass([1, 0])  # one coordinate short of PLANE's basis
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_example("ex5"), "unknown example 'ex5'; available: ex2, "
+     "ex3 (the ruled-surface family is under the search command)"),
+    (lambda: run_search(("a", 3), (8, 8), (1, 1)),
+     "g range must be a pair of integers"),
+    (lambda: SurfaceModel.plane_blowup(-1),
+     "number of blown-up points must be >= 0"),
+    (lambda: SurfaceModel.hirzebruch(-1, 0), "Hirzebruch degree must be >= 0"),
+    (lambda: SurfaceModel.hirzebruch(0, -1),
+     "number of blown-up points must be >= 0"),
+    (lambda: SurfaceModel.custom([[1, 0]]), "Gram matrix must be square"),
+    (lambda: PLANE.divisor([1, 0]), "expected 3 coefficients, got 2"),
+    (lambda: PLANE.basis_class(3), "basis index out of range"),
+    (lambda: PLANE.ruled_class(1, 0), "ruled_class needs a Hirzebruch model"),
+    (lambda: SurfaceModel.hirzebruch(1, 1).ruled_class(1, 0, [1, 1]),
+     "more multiplicities than blown-up points"),
+    (lambda: blow_up_transform(PLANE, [PLANE.zero()], []),
+     "one multiplicity per class required"),
+    (lambda: blow_up_transform(PLANE, [SHORT], [1]), "dimension mismatch"),
+    (lambda: PLANE.zero() + SHORT, "dimension mismatch"),
+    (lambda: PLANE.intersect(PLANE.zero(), SHORT), "dimension mismatch"),
+    (lambda: zariski_decompose(PLANE, SHORT, [PLANE.exceptional(1)]),
+     "class does not live in the model lattice"),
+    (lambda: zariski_decompose(PLANE, PLANE.zero(), [SHORT]),
+     "candidate does not live in the model lattice"),
+    (lambda: parse_rational(object()), "expected a rational, got object"),
+    (lambda: DualGraph([Vertex("A", 0, -2)], []).vertex("B"),
+     "unknown vertex B"),
+    (lambda: render_table(["a", "b"], [["1"]]), "table row width mismatch"),
+], ids=["example", "search_range", "plane_points", "hirzebruch_degree",
+        "hirzebruch_points", "custom_square", "divisor_length",
+        "basis_index", "ruled_on_plane", "ruled_mults", "blow_up_count",
+        "blow_up_length", "add_length", "intersect_length", "zariski_class",
+        "zariski_candidate", "rational_type", "unknown_vertex",
+        "table_width"])
+def test_library_refusals_raise_their_messages(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -220,6 +221,60 @@ def test_command_parser_parses_as_the_full_parser(argv):
     assert got == _parse(build_parser(), argv)
 
 
+# one run of each kind `main` serves: every subcommand on the fixtures,
+# a table, a missing argument, an unknown command, a criterion that does
+# not exist and --version, which leaves through SystemExit
+REUSE_MIX = [
+    ["peel", f"{FIXTURES}/d4_fork.json"],
+    ["zariski", f"{FIXTURES}/one_point_model.json", "--class", "1,2",
+     "--candidates", f"{FIXTURES}/one_point_candidates.json"],
+    ["invariants", f"{FIXTURES}/sextic_model.json",
+     f"{FIXTURES}/sextic_graph.json", "--class", "6,-2,-2,-2,-2,-2,-2,-2,-2"],
+    ["pencil", f"{FIXTURES}/sextic_model.json", "--divisor",
+     "6,-2,-2,-2,-2,-2,-2,-2,-2", "--candidates",
+     f"{FIXTURES}/sextic_candidates.json"],
+    ["example", "run", "ex3", "--a", "3"],
+    ["search", "ex4", "--g", "10:10", "--x", "8:8", "--y", "1:1"],
+    ["selftest", "--criterion", "8"],
+    ["peel", f"{FIXTURES}/sextic_graph.json", "--format", "table"],
+    ["zariski", f"{FIXTURES}/one_point_model.json", "--class", "1,2"],
+    ["bogus"],
+    ["selftest", "--criterion", "99"],
+    ["--version"],
+]
+
+# selftest lines end in their timings, the one part that varies
+TIMING = re.compile(r"\d+\.\d{3}s")
+
+
+def _in_process(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, TIMING.sub("#", out.getvalue()), err.getvalue()
+
+
+def _fresh(argv) -> tuple:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "logpair.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, TIMING.sub("#", proc.stdout), proc.stderr
+
+
+def test_runs_in_one_process_match_fresh_processes():
+    # the mix in order and then backwards, so that each run follows a
+    # different run each time: nothing one run leaves behind may change
+    # the exit code, stdout or stderr of the next
+    fresh = [_fresh(argv) for argv in REUSE_MIX]
+    assert {f[0] for f in fresh} == {0, 1}
+    for i in [*range(len(REUSE_MIX)), *reversed(range(len(REUSE_MIX)))]:
+        assert _in_process(REUSE_MIX[i]) == fresh[i], REUSE_MIX[i]
+
+
 def test_missing_file_is_exit_one(capsys):
     code, _, err = run_cli(capsys, "peel", "no/such/file.json")
     assert code == 1
@@ -429,6 +484,27 @@ def test_empty_class_is_input_error(capsys):
         "--candidates", f"{FIXTURES}/one_point_candidates.json")
     assert out == ""
     _assert_one_error_line(code, err, "empty class vector")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp: ["search", "ex4", "--g", "1:2:3", "--x", "8", "--y", "1"],
+     "--g expects LO:HI (got '1:2:3')"),
+    (lambda tmp: ["pencil", f"{FIXTURES}/sextic_model.json", "--divisor",
+                  "6,-2,-2,-2,-2,-2,-2,-2,-3/2", "--candidates",
+                  f"{FIXTURES}/sextic_candidates.json"],
+     "residual class is not integral"),
+    # the adjoint K + H = -2H + E1 meets the candidate H negatively, and
+    # so does every class left by subtracting H from it
+    (lambda tmp: ["pencil", _write_json(tmp, "model.json",
+                                        {"kind": "p2_blowup", "points": 1}),
+                  "--divisor", "1,0", "--candidates",
+                  _write_json(tmp, "cands.json", [[1, 0]])],
+     "fixed part subtraction did not settle within 1000 rounds; candidate "
+     "list is not a fixed locus"),
+], ids=["span", "residual", "rounds"])
+def test_refused_run_is_one_error_line(tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # a numeral past the 4,300 digits that Python converts to an int

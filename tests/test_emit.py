@@ -1,8 +1,8 @@
 """The byte contract of `dumps`, against a two-pass reference.
 
 `dumps` is the package's one JSON walker.  `to_jsonable` below is the
-reference: it builds the plain tree a report stands for, and
-`dumps(x)` must give exactly the text of
+reference, with its own number encoding: it builds the plain tree a
+report stands for, and `dumps(x)` must give exactly the text of
 `json.dumps(to_jsonable(x), sort_keys=True, indent=2) + "\\n"`.  An
 input that cannot be serialized must raise the same `InputError` text
 as `to_jsonable` does on it.  The values are nested dicts, lists,
@@ -22,7 +22,14 @@ from typing import Mapping, NamedTuple
 import pytest
 
 from logpair import DivisorClass, InputError, ZariskiDecomposition
-from logpair.jsonio import dumps, encode_rational
+from logpair.jsonio import dumps
+
+
+def encode_rational(v: Fraction):
+    """The reference's own encoding: an int, or "p/q" in lowest terms."""
+    if v.denominator == 1:
+        return v.numerator
+    return f"{v.numerator}/{v.denominator}"
 
 
 def to_jsonable(obj):

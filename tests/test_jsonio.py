@@ -9,21 +9,28 @@ import pytest
 
 from logpair import (NEF_SCOPE, DivisorClass, FixedPart, InputError,
                      SurfaceModel, ZariskiDecomposition)
-from logpair.jsonio import (dumps, encode_rational, load_classes,
-                            load_graph, load_model, parse_class,
-                            parse_class_arg, parse_graph, parse_model,
-                            parse_rational, render_table, run_manifest,
-                            record_fields, sha256_file)
+from logpair.jsonio import (dumps, load_classes, load_graph, load_model,
+                            parse_class, parse_class_arg, parse_graph,
+                            parse_model, parse_rational, render_table,
+                            run_manifest, record_fields, sha256_file)
+
+
+def encode_rational(v: Fraction):
+    """The tests' own encoding: an int, or "p/q" in lowest terms."""
+    if v.denominator == 1:
+        return v.numerator
+    return f"{v.numerator}/{v.denominator}"
 
 
 def test_rational_encoding_round_trip():
-    assert encode_rational(Fraction(3)) == 3
-    assert encode_rational(Fraction(-7, 2)) == "-7/2"
+    assert dumps(Fraction(3)) == "3\n"
+    assert dumps(Fraction(-7, 2)) == '"-7/2"\n'
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational(-5) == Fraction(-5)
     assert parse_rational("-5") == Fraction(-5)
     for v in [Fraction(0), Fraction(22, 7), Fraction(-1, 3), Fraction(8)]:
         assert parse_rational(encode_rational(v)) == v
+        assert json.loads(dumps(v)) == encode_rational(v)
 
 
 def test_rational_rejects_junk():
@@ -105,8 +112,8 @@ def test_dumps_refuses_numbers_past_the_int_text_limit():
         pytest.skip("the int conversion limit is switched off")
     big = 10 ** limit  # one digit more than the limit
     message = f"the report holds a number of more than {limit:,} digits"
-    # int.__repr__, encode_rational on an integral and on a proper
-    # Fraction, and _number on a class's integer and "p/q" coefficients
+    # int.__repr__, and _rational on an integral and on a proper
+    # Fraction and on a class's integer and "p/q" coefficients
     for value in (big, -big, Fraction(big), Fraction(big, 3),
                   Fraction(1, big), DivisorClass([1, big]),
                   DivisorClass([Fraction(big, 7), Fraction(1, 2)])):

@@ -115,22 +115,35 @@ def test_adjunction_on_ruled_model():
 def test_hodge_data():
     m = SurfaceModel.plane_blowup(8)
     h = m.hodge
-    h.check()
     assert (h.q, h.p_g, h.h11, h.euler_e) == (0, 0, 9, 11)
     m2 = SurfaceModel.hirzebruch(2, 3)
     h2 = m2.hodge
-    h2.check()
     assert (h2.q, h2.p_g, h2.h11, h2.euler_e) == (0, 0, 5, 7)
     # the closed forms per kind: h11 = n + 1 and e(S) = n + 3 on the
     # plane blown up at n points, n + 2 and n + 4 on a Hirzebruch surface
     for n in range(13):
         h = SurfaceModel.plane_blowup(n).hodge
-        h.check()
         assert h == (0, 0, n + 1, n + 3)
         for e in range(6):
             h = SurfaceModel.hirzebruch(e, n).hodge
-            h.check()
             assert h == (0, 0, n + 2, n + 4)
+
+
+def test_integral_classes_have_even_adjunction_pairing():
+    # the proof behind the pencil's integer fiber genus: K is
+    # characteristic, c.(c + K) = c^2 + K.c is even for every integral c,
+    # so p_a(c) = c.(c + K)/2 + 1 is an integer on both kinds of model
+    rng = random.Random(18)
+    for i in range(1_200):
+        n = rng.randint(0, 12)
+        if i % 2:
+            m = SurfaceModel.plane_blowup(n)
+        else:
+            m = SurfaceModel.hirzebruch(rng.randint(0, 9), n)
+        c = m.divisor([rng.randint(-40, 40) for _ in range(m.basis_size)])
+        pairing = m.intersect(c, c + m.canonical_class())
+        assert pairing.denominator == 1 and pairing.numerator % 2 == 0
+        assert m.arithmetic_genus(c).denominator == 1
 
 
 def test_exceptional_and_builders():

@@ -29,7 +29,10 @@ from logpair.jsonio import dumps
     (lambda: Edge("A", "A"), "self loop at A is not allowed"),
     (lambda: Edge("A", "B", 0), "edge multiplicity must be >= 1"),
     (lambda: Edge(u="A", v="B", mult=-3), "edge multiplicity must be >= 1"),
-], ids=["vertex_genus", "edge_loop", "edge_mult_zero", "edge_keywords"])
+    (lambda: FamilyInstance("2", 0, 8, 1),
+     "instance parameters must be integers"),
+], ids=["vertex_genus", "edge_loop", "edge_mult_zero", "edge_keywords",
+        "instance_string"])
 def test_validating_records_raise_at_construction(build, message):
     with pytest.raises(InputError) as info:
         build()
