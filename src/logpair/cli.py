@@ -26,6 +26,7 @@ from .errors import InputError, InternalError
 from .jsonio import (dumps, load_classes, load_graph, load_model,
                      parse_class_arg, record_fields, render_table,
                      run_manifest)
+from .lattice import INTEGER_RE, parse_rational
 from .peeling import bark
 
 
@@ -36,18 +37,19 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int(text: str) -> int:
+    """An integer argument, spelled as parse_rational reads an int."""
+    if not INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return parse_rational(text)
+
+
 def _span(text: str, name: str) -> tuple[int, int]:
+    """LO:HI, or N for N:N; each part spelled as for `_int`."""
     parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
-    except ValueError:
+    if len(parts) > 2 or not all(map(INTEGER_RE.fullmatch, parts)):
         raise InputError(f"--{name} expects LO:HI (got {text!r})")
-    return lo, hi
+    return parse_rational(parts[0]), parse_rational(parts[-1])
 
 
 def build_parser(command: Optional[str] = None) -> _Parser:
@@ -109,7 +111,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         esub = sp.add_subparsers(dest="action", required=True)
         runp = esub.add_parser("run")
         runp.add_argument("name", choices=["ex2", "ex3"])
-        runp.add_argument("--a", type=int, default=None,
+        runp.add_argument("--a", type=_int, default=None,
                           help="family parameter for ex3 (default 2)")
         common(runp)
 
@@ -121,7 +123,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         common(sp)
 
     if sp := parsers.get("selftest"):
-        sp.add_argument("--criterion", type=int, action="append",
+        sp.add_argument("--criterion", type=_int, action="append",
                         default=None, help="run only this criterion "
                                            "(repeatable)")
         common(sp)

@@ -20,7 +20,6 @@ tests/test_emit.py.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -30,8 +29,6 @@ from typing import Mapping, Optional, Sequence
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
 from .lattice import RATIONAL_RE, DivisorClass, SurfaceModel, parse_rational
-
-_INTEGER_RE = re.compile(r"[+-]?\d+")
 
 # largest model file accepted: room for the 1,997 points that
 # `example run ex3 --a 500` builds
@@ -152,29 +149,11 @@ def _reject_float(s: str):
     raise InputError(f"floating point literal {s!r} in input; use p/q")
 
 
-def _parse_coefficient(v):
-    """parse_rational, except that integers stay ints, which keeps the
-    class constructor on its all-integer path."""
-    if type(v) is int:
-        return v
-    if isinstance(v, str) and _INTEGER_RE.fullmatch(v):
-        try:
-            return int(v)
-        except ValueError:  # more digits than an int conversion takes
-            raise InputError(
-                f"integer of {len(v)} characters has too many digits")
-    return parse_rational(v)
-
-
 def parse_class(data, model: Optional[SurfaceModel] = None) -> DivisorClass:
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise InputError("a divisor class must be an array of rationals")
-    c = DivisorClass([_parse_coefficient(v) for v in data])
-    if model is not None and len(c) != model.basis_size:
-        raise InputError(
-            f"class length {len(c)} does not match the model basis "
-            f"size {model.basis_size}")
-    return c
+    coeffs = [parse_rational(v) for v in data]
+    return DivisorClass(coeffs) if model is None else model.divisor(coeffs)
 
 
 def parse_class_arg(text: str,
@@ -187,14 +166,9 @@ def parse_class_arg(text: str,
     return parse_class(parts, model)
 
 
-def _is_int(v) -> bool:
-    """JSON integers only: booleans are ints to Python but not here."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _points(data: Mapping, kind: str) -> int:
     points = data.get("points")
-    if not _is_int(points) or points < 0:
+    if type(points) is not int or points < 0:
         raise InputError(f"{kind} needs integer points >= 0")
     if points > MAX_MODEL_POINTS:
         raise InputError(
@@ -210,7 +184,7 @@ def parse_model(data) -> SurfaceModel:
         return SurfaceModel.plane_blowup(_points(data, kind))
     if kind == "hirzebruch":
         e = data.get("e")
-        if not _is_int(e) or e < 0:
+        if type(e) is not int or e < 0:
             raise InputError("hirzebruch needs integer e >= 0")
         return SurfaceModel.hirzebruch(e, _points(data, kind))
     if kind == "custom":
@@ -257,7 +231,7 @@ def parse_graph(data) -> DualGraph:
         if not isinstance(vid, str) or not vid:
             raise InputError("each vertex needs a nonempty string id")
         genus = rv.get("genus", 0)
-        if not _is_int(genus):
+        if type(genus) is not int:
             raise InputError(f"vertex {vid}: genus must be an integer")
         if "self" not in rv:
             raise InputError(f"vertex {vid}: missing self-intersection")
@@ -276,7 +250,7 @@ def parse_graph(data) -> DualGraph:
         if not isinstance(u, str) or not isinstance(v, str):
             raise InputError("each edge needs string endpoints u and v")
         mult = re_.get("mult", 1)
-        if not _is_int(mult) or mult < 1:
+        if type(mult) is not int or mult < 1:
             raise InputError(f"edge {u}-{v}: mult must be an integer >= 1")
         edges.append(Edge(u, v, mult))
     model = None

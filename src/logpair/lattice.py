@@ -31,30 +31,33 @@ class ModelKind(Enum):
     CUSTOM = "custom"
 
 
-RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+# ASCII digits only, as `\d` takes the digits of other scripts too; the
+# integer test, cheaper and almost always the one that matches, runs first
+INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+RATIONAL_RE = re.compile(INTEGER_RE.pattern + r"(/[1-9][0-9]*)?")
 
 
-def parse_rational(v) -> Fraction:
-    """An exact rational from an int, a Fraction or a "p" / "p/q" string.
+def parse_rational(v) -> int | Fraction:
+    """The one reader of an exact number from outside: an int from an int
+    or a "p" string, a Fraction from a Fraction or a "p/q" string.
 
-    Floats, booleans and every other spelling (such as "1.5") are
-    rejected with InputError, so no inexact value enters a class; so is
-    a string with more digits than Python converts to an int.
+    Floats, booleans and every other spelling (such as "1.5" or "1_0")
+    are rejected with InputError, so no inexact value enters a class; so
+    is a string with more digits than Python converts to an int.
     """
-    if isinstance(v, Fraction):
+    if isinstance(v, str):  # tested first: Fraction's check is slow
+        pq = not INTEGER_RE.fullmatch(v)
+        if pq and not RATIONAL_RE.fullmatch(v):
+            raise InputError(f"malformed rational {v!r}; use p or p/q")
+        try:
+            return Fraction(v) if pq else int(v)
+        except ValueError:  # more digits than an int conversion takes
+            raise InputError(f"{'rational' if pq else 'integer'} of "
+                             f"{len(v)} characters has too many digits")
+    if type(v) is int or isinstance(v, Fraction):
         return v
     if isinstance(v, bool):
         raise InputError(f"expected a rational, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        if not RATIONAL_RE.fullmatch(v):
-            raise InputError(f"malformed rational {v!r}; use p or p/q")
-        try:
-            return Fraction(v)
-        except ValueError:  # more digits than an int conversion takes
-            raise InputError(
-                f"rational of {len(v)} characters has too many digits")
     if isinstance(v, float):
         raise InputError(
             f"floating point value {v!r} rejected; use p/q strings")
@@ -127,7 +130,7 @@ class DivisorClass:
         return DivisorClass._make(tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, scalar):
-        s = scalar if type(scalar) is int else parse_rational(scalar)
+        s = parse_rational(scalar)
         return DivisorClass._make(
             tuple(n * s.numerator for n in self.nums), self.den * s.denominator)
 
@@ -238,23 +241,25 @@ class SurfaceModel(NamedTuple):
             raise InputError("exceptional index out of range")
         return self.basis_class(len(self.gram_ints) + i - 1)
 
+    def _with_mults(self, head: list, mults: Sequence) -> DivisorClass:
+        """The class with leading coefficients `head` and coefficient
+        -mults[i] on E(i+1), 0 past the last multiplicity."""
+        pad = self.num_points - len(mults)
+        if pad < 0:
+            raise InputError("more multiplicities than blown-up points")
+        return self.divisor(head + [-m for m in mults] + [0] * pad)
+
     def plane_class(self, degree, mults: Sequence) -> DivisorClass:
         """degree*H - sum(mults[i] * E(i+1)) for a plane blow-up."""
         if self.kind is not ModelKind.P2_BLOWUP:
             raise InputError("plane_class needs a plane blow-up model")
-        if len(mults) > self.num_points:
-            raise InputError("more multiplicities than blown-up points")
-        ms = list(mults) + [0] * (self.num_points - len(mults))
-        return self.divisor([degree] + [-m for m in ms])
+        return self._with_mults([degree], mults)
 
     def ruled_class(self, a, b, mults: Sequence = ()) -> DivisorClass:
         """a*Dinf + b*Gamma - sum(mults[i] * E(i+1)) on a Hirzebruch blow-up."""
         if self.kind is not ModelKind.HIRZEBRUCH:
             raise InputError("ruled_class needs a Hirzebruch model")
-        if len(mults) > self.num_points:
-            raise InputError("more multiplicities than blown-up points")
-        ms = list(mults) + [0] * (self.num_points - len(mults))
-        return self.divisor([a, b] + [-m for m in ms])
+        return self._with_mults([a, b], mults)
 
     # -- intersection theory ----------------------------------------------
 

@@ -58,7 +58,7 @@ class FamilyInstance(_FamilyInstance):
     __slots__ = ()
 
     def __new__(cls, g: int, e: int, x: int, y: int):
-        if not all(isinstance(v, int) for v in (g, e, x, y)):
+        if not all(type(v) is int for v in (g, e, x, y)):  # no bools
             raise InputError("instance parameters must be integers")
         if g < 2:
             raise InputError("g must be an integer >= 2")
@@ -77,13 +77,11 @@ class FamilyInstance(_FamilyInstance):
     def model(self) -> SurfaceModel:
         return SurfaceModel.hirzebruch(self.e, self.points)
 
-    def boundary(self, model: Optional[SurfaceModel] = None) -> DivisorClass:
-        m = model or self.model()
-        return m.ruled_class(self.x, self.y, [2] * self.points)
+    def boundary(self, model: SurfaceModel) -> DivisorClass:
+        return model.ruled_class(self.x, self.y, [2] * self.points)
 
-    def fiber(self, model: Optional[SurfaceModel] = None) -> DivisorClass:
-        m = model or self.model()
-        return m.ruled_class(2, self.a, [1] * self.points)
+    def fiber(self, model: SurfaceModel) -> DivisorClass:
+        return model.ruled_class(2, self.a, [1] * self.points)
 
 
 class ConstraintReport(NamedTuple):
@@ -261,8 +259,10 @@ def interval_report_x8_y1(g_lo: int, g_hi: int) -> dict:
 
 def _parse_span(span, name: str) -> tuple[int, int]:
     try:
-        lo, hi = int(span[0]), int(span[1])
-    except (TypeError, ValueError, IndexError):
+        lo, hi = span
+    except (TypeError, ValueError):
+        lo = hi = None
+    if type(lo) is not int or type(hi) is not int:  # bools are refused
         raise InputError(f"{name} range must be a pair of integers")
     if lo > hi:
         raise InputError(f"{name} range is empty: {lo} > {hi}")

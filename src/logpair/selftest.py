@@ -389,17 +389,13 @@ CRITERIA: list[tuple[int, str, Callable[[_Check], None]]] = [
 ]
 
 
-def run_criterion(number: int) -> CriterionResult:
-    for num, name, fn in CRITERIA:
-        if num == number:
-            c = _Check()
-            t0 = time.perf_counter()
-            fn(c)
-            return CriterionResult(num, name, not c.problems, c.detail(),
-                                   time.perf_counter() - t0)
-    raise ValueError(f"no criterion {number}")
-
-
 def run_all(only: Optional[list[int]] = None) -> list[CriterionResult]:
-    return [run_criterion(num) for num, _, _ in CRITERIA
-            if only is None or num in only]
+    results = []
+    for num, name, fn in CRITERIA:
+        if only is None or num in only:
+            c, t0 = _Check(), time.perf_counter()
+            fn(c)
+            results.append(CriterionResult(num, name, not c.problems,
+                                           c.detail(),
+                                           time.perf_counter() - t0))
+    return results

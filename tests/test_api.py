@@ -119,6 +119,15 @@ SHORT = DivisorClass([1, 0])  # one coordinate short of PLANE's basis
      "ex3 (the ruled-surface family is under the search command)"),
     (lambda: run_search(("a", 3), (8, 8), (1, 1)),
      "g range must be a pair of integers"),
+    # a span is a pair of ints: no float, bool, numeral or third entry
+    (lambda: run_search((10.9, 10.2), (8, 8), (1, 1)),
+     "g range must be a pair of integers"),
+    (lambda: run_search((10, 10), (8, 8), (True, 1)),
+     "y range must be a pair of integers"),
+    (lambda: run_search((10, 10), ("8", "8"), (1, 1)),
+     "x range must be a pair of integers"),
+    (lambda: run_search((10, 10, 11), (8, 8), (1, 1)),
+     "g range must be a pair of integers"),
     (lambda: SurfaceModel.plane_blowup(-1),
      "number of blown-up points must be >= 0"),
     (lambda: SurfaceModel.hirzebruch(-1, 0), "Hirzebruch degree must be >= 0"),
@@ -143,7 +152,8 @@ SHORT = DivisorClass([1, 0])  # one coordinate short of PLANE's basis
     (lambda: DualGraph([Vertex("A", 0, -2)], []).vertex("B"),
      "unknown vertex B"),
     (lambda: render_table(["a", "b"], [["1"]]), "table row width mismatch"),
-], ids=["example", "search_range", "plane_points", "hirzebruch_degree",
+], ids=["example", "search_range", "search_float", "search_bool",
+        "search_numeral", "search_triple", "plane_points", "hirzebruch_degree",
         "hirzebruch_points", "custom_square", "divisor_length",
         "basis_index", "ruled_on_plane", "ruled_mults", "blow_up_count",
         "blow_up_length", "add_length", "intersect_length", "zariski_class",

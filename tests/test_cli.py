@@ -395,7 +395,8 @@ def test_boolean_edge_mult_is_input_error(tmp_path, capsys):
 
 GRAPH_VERTEX = {"id": "A", "self": -2}
 
-# malformed input files: (the file's role, its content, the message)
+# malformed input: (the role of the file or of `--class`, its content,
+# the message)
 MALFORMED = [
     ("graph", [GRAPH_VERTEX], "graph JSON must be an object"),
     ("model", [1, 2], "model JSON must be an object"),
@@ -435,6 +436,10 @@ MALFORMED = [
      "duplicate edge B-A"),
     ("candidates", [[0, 1], 5],
      "a divisor class must be an array of rationals"),
+    # numerals are ASCII, though `\d` and `int` take Arabic-Indic digits
+    ("graph", {"vertices": [{"id": "A", "self": "-\u0662"}]},
+     "malformed rational '-\u0662'; use p or p/q"),
+    ("class", "\u0661,\u0662", "malformed rational '\u0661'; use p or p/q"),
 ]
 
 
@@ -449,7 +454,9 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, role, doc,
             "model": ["zariski", str(path), "--class", "1,2",
                       "--candidates", cands],
             "candidates": ["zariski", model, "--class", "1,2",
-                           "--candidates", str(path)]}[role]
+                           "--candidates", str(path)],
+            "class": ["zariski", model, "--class", doc,
+                      "--candidates", cands]}[role]
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
     _assert_one_error_line(code, err, message)
@@ -489,6 +496,22 @@ def test_empty_class_is_input_error(capsys):
 @pytest.mark.parametrize("argv, message", [
     (lambda tmp: ["search", "ex4", "--g", "1:2:3", "--x", "8", "--y", "1"],
      "--g expects LO:HI (got '1:2:3')"),
+    # each part of a span must spell an int as a class coefficient does;
+    # `int()` alone takes underscores, spaces and non-ASCII digits
+    (lambda tmp: ["search", "ex4", "--g", "1_0:1_0", "--x", "8", "--y", "1"],
+     "--g expects LO:HI (got '1_0:1_0')"),
+    (lambda tmp: ["search", "ex4", "--g", "10", "--x", " 8", "--y", "1"],
+     "--x expects LO:HI (got ' 8')"),
+    (lambda tmp: ["search", "ex4", "--g", "10", "--x", "8",
+                  "--y", "\u0661:\u0661"],
+     "--y expects LO:HI (got '\u0661:\u0661')"),
+    (lambda tmp: ["search", "ex4", "--g", "10", "--x", "8/2", "--y", "1"],
+     "--x expects LO:HI (got '8/2')"),
+    # the integer options are read the same way
+    (lambda tmp: ["example", "run", "ex3", "--a", "1_0"],
+     "argument --a: invalid int value: '1_0'"),
+    (lambda tmp: ["selftest", "--criterion", "\u0668"],
+     "argument --criterion: invalid int value: '\u0668'"),
     (lambda tmp: ["pencil", f"{FIXTURES}/sextic_model.json", "--divisor",
                   "6,-2,-2,-2,-2,-2,-2,-2,-3/2", "--candidates",
                   f"{FIXTURES}/sextic_candidates.json"],
@@ -501,7 +524,9 @@ def test_empty_class_is_input_error(capsys):
                   _write_json(tmp, "cands.json", [[1, 0]])],
      "fixed part subtraction did not settle within 1000 rounds; candidate "
      "list is not a fixed locus"),
-], ids=["span", "residual", "rounds"])
+], ids=["span", "span-underscore", "span-space", "span-digits",
+        "span-fraction", "int-underscore", "int-digits", "residual",
+        "rounds"])
 def test_refused_run_is_one_error_line(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv(tmp_path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -515,7 +540,7 @@ HUGE = "1" + "0" * 5_000
     ("model", '{"kind": "p2_blowup", "points": %s}' % HUGE,
      "holds an integer with too many digits"),
     ("graph", '{"vertices": [{"id": "A", "self": "-%s"}]}' % HUGE,
-     "rational of 5002 characters has too many digits"),
+     "integer of 5002 characters has too many digits"),
     ("candidates", '[[1, "%s"]]' % HUGE,
      "integer of 5001 characters has too many digits"),
     ("candidates", '[[1, %s]]' % HUGE, "holds an integer with too many digits"),

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -132,6 +133,102 @@ def test_parse_class_integer_spellings():
         parse_class_arg("1,true")
     with pytest.raises(InputError):
         parse_class([1, True])
+
+
+# The two readers of outside numbers that `parse_rational` replaced,
+# kept as they were: the oracle of the differential test below.
+_OLD_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+_OLD_INTEGER_RE = re.compile(r"[+-]?\d+")
+
+
+def _old_parse_rational(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, bool):
+        raise InputError(f"expected a rational, got {v!r}")
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, str):
+        if not _OLD_RATIONAL_RE.fullmatch(v):
+            raise InputError(f"malformed rational {v!r}; use p or p/q")
+        try:
+            return Fraction(v)
+        except ValueError:
+            raise InputError(
+                f"rational of {len(v)} characters has too many digits")
+    if isinstance(v, float):
+        raise InputError(
+            f"floating point value {v!r} rejected; use p/q strings")
+    raise InputError(f"expected a rational, got {type(v).__name__}")
+
+
+def _old_parse_coefficient(v):
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and _OLD_INTEGER_RE.fullmatch(v):
+        try:
+            return int(v)
+        except ValueError:
+            raise InputError(
+                f"integer of {len(v)} characters has too many digits")
+    return _old_parse_rational(v)
+
+
+# digits of other scripts that `\d` and `int` both take: Arabic-Indic,
+# Devanagari, fullwidth and mathematical bold
+_FOREIGN_DIGITS = "\u0660\u0661\u0662\u0966\u0967\uff10\uff11\U0001d7cf"
+
+
+def _spellings(rng: random.Random, count: int) -> list:
+    """Fixed edge cases, then `count` random spellings built from signs,
+    ASCII and foreign digits, slashes, points, underscores and spaces."""
+    fixed = ["0", "-0", "+0", "007", "-12", "+5", "3/4", "-7/2", "4/2",
+             "0/5", "1/0", "1/-2", "1/07", "1.5", " 8", "8 ", "1_0",
+             "1/2\n", "", "/", "-", "a/b", "\u0661", "-\u0662",
+             "\u0661/\u0662", "1/\u0662", "9" * 4_301, "-" + "9" * 4_301,
+             "1/" + "7" * 4_301, "9" * 4_300, True, False, 1.5, 2.0, None,
+             [1], 0, -3, 10 ** 50, Fraction(3, 4), Fraction(2)]
+    pieces = ["", "+", "-", "/", ".", "_", " "]
+    digits = "0123456789" * 3 + _FOREIGN_DIGITS
+    out = list(fixed)
+    for _ in range(count):
+        s = rng.choice(("", "", "+", "-"))
+        s += "".join(rng.choice(digits) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.5:
+            s += rng.choice(pieces)
+            s += "".join(rng.choice(digits)
+                         for _ in range(rng.randint(0, 3)))
+        out.append(s)
+    return out
+
+
+def _read(reader, v):
+    try:
+        return True, reader(v)
+    except InputError as exc:
+        return False, str(exc)
+
+
+def test_parse_rational_agrees_with_the_readers_it_replaced():
+    seen_foreign = 0
+    for v in _spellings(random.Random(19), 4_000):
+        ok, new = _read(parse_rational, v)
+        ok_old, old = _read(_old_parse_coefficient, v)
+        if ok_old and isinstance(v, str) and not v.isascii():
+            # the one difference: a numeral of non-ASCII digits
+            seen_foreign += 1
+            assert (ok, new) == (
+                False, f"malformed rational {v!r}; use p or p/q")
+            continue
+        assert ok == ok_old, v
+        if ok:
+            # the value and the int-ness of the class reader, the value
+            # of the old parse_rational
+            assert new == old == _old_parse_rational(v), v
+            assert (type(new) is int) == (type(old) is int), v
+        else:
+            assert new == old, v
+    assert seen_foreign > 100
 
 
 def test_parse_model_kinds(tmp_path):

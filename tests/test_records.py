@@ -31,8 +31,10 @@ from logpair.jsonio import dumps
     (lambda: Edge(u="A", v="B", mult=-3), "edge multiplicity must be >= 1"),
     (lambda: FamilyInstance("2", 0, 8, 1),
      "instance parameters must be integers"),
+    (lambda: FamilyInstance(10, True, 8, 1),
+     "instance parameters must be integers"),
 ], ids=["vertex_genus", "edge_loop", "edge_mult_zero", "edge_keywords",
-        "instance_string"])
+        "instance_string", "instance_bool"])
 def test_validating_records_raise_at_construction(build, message):
     with pytest.raises(InputError) as info:
         build()
