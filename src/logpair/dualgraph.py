@@ -91,24 +91,23 @@ class DualGraph:
                 raise InputError(f"duplicate edge {e.u}-{e.v}")
             self._adj[e.u][e.v] = e.mult
             self._adj[e.v][e.u] = e.mult
-        self.model = model
         self.class_map = dict(class_map) if class_map is not None else None
         if self.class_map is not None:
-            if self.model is None:
+            if model is None:
                 raise InputError("class_map requires a model")
-            self._check_classes()
+            self._check_classes(model)
 
-    def _check_classes(self):
+    def _check_classes(self, model: SurfaceModel):
         for v in self.vertices:
             if v.id not in self.class_map:
                 raise InputError(f"class_map is missing vertex {v.id}")
         # one covector per vertex class, so a pairing costs the non-zero
         # coordinates of that class, not the basis length
         ids = [v.id for v in self.vertices]
-        gram_den = self.model.gram_den
+        gram_den = model.gram_den
         for i, u in enumerate(ids):
             cu = self.class_map[u]
-            pair = self.model.pairing_with(cu)
+            pair = model.pairing_with(cu)
             self_int = self._by_id[u].self_int
             if pair(cu) != self_int * cu.den * cu.den * gram_den:
                 raise InputError(
@@ -188,7 +187,6 @@ class Segment(NamedTuple):
     kind: str  # "rod", "twig" or "fork"
     vertices: tuple[str, ...]
     attach: Optional[str] = None  # twig: the branch vertex it hangs off
-    branches: tuple[tuple[str, ...], ...] = ()  # fork only, tip first
     reason: Optional[str] = None  # why the segment is excluded
     # bark coefficients in vertex order; () on an excluded segment
     coefficients: tuple[Fraction, ...] = ()
@@ -208,24 +206,6 @@ class SegmentReport(NamedTuple):
     @property
     def admissible_segments(self) -> list[Segment]:
         return [s for s in self.segments if s.admissible]
-
-    @property
-    def tips(self) -> list[str]:
-        """beta<=1 chain ends of the admissible segments."""
-        out = []
-        for s in self.segments:
-            if not s.admissible:
-                continue
-            if s.kind == "rod":
-                if len(s.vertices) == 1:
-                    out.append(s.vertices[0])
-                else:
-                    out.extend((s.vertices[0], s.vertices[-1]))
-            elif s.kind == "twig":
-                out.append(s.vertices[0])
-            else:
-                out.extend(branch[0] for branch in s.branches)
-        return out
 
 
 def bark_rhs(g: DualGraph, ids: Sequence[str]) -> list[int]:
@@ -323,10 +303,6 @@ def classify_segments(g: DualGraph) -> SegmentReport:
         if (len(centers) == 1 and len(g._adj[centers[0]]) == 3
                 and sum(len(g._adj[v]) for v in comp) == 2 * (len(comp) - 1)
                 and all(m == 1 for v in comp for m in g._adj[v].values())):
-            center = centers[0]
-            branches = tuple(  # tip first
-                tuple(reversed(_arm(g, center, first)))
-                for first in sorted(g._adj[center], key=comp.index))
             reason, coeffs = _admissibility(g, comp)
             bad = [a for a in coeffs if not 0 < a <= 1]
             if bad:
@@ -336,8 +312,8 @@ def classify_segments(g: DualGraph) -> SegmentReport:
                 reason = f"bark coefficient {bad[0]} outside (0, 1]"
                 coeffs = ()
             report.segments.append(
-                Segment("fork", tuple(comp), branches=branches,
-                        reason=reason, coefficients=coeffs))
+                Segment("fork", tuple(comp), reason=reason,
+                        coefficients=coeffs))
             if reason is None or bad:
                 continue  # a star demoted by its coefficients offers no twigs
             # any other inadmissible star still offers its branches as twigs

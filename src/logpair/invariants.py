@@ -30,17 +30,15 @@ class LogInvariants(NamedTuple):
     m: int              # connected components of the boundary
 
 
-def log_genus_rational(
-    graph: DualGraph,
-    hodge: Optional[HodgeData] = None,
-) -> tuple[int, int, int]:
+def log_genus_rational(graph: DualGraph,
+                       hodge: HodgeData) -> tuple[int, int, int]:
     """(pg_log, h1_log, m) for a boundary on a rational surface.
 
     With q = p_g = 0 the section/kernel bookkeeping collapses and only
     the component count m and the boundary genus survive:
     h1_log = m - 1 and pg_log = p_a(D) + m - 1.
     """
-    if hodge is not None and not hodge.is_rational_type:
+    if not hodge.is_rational_type:
         raise InputError(
             "requires cohomology data beyond Hodge numbers; only rational "
             "models (q = p_g = 0) are supported")

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
@@ -149,18 +149,17 @@ def _reject_float(s: str):
     raise InputError(f"floating point literal {s!r} in input; use p/q")
 
 
-def parse_class(data, model: Optional[SurfaceModel] = None) -> DivisorClass:
+def parse_class(data, model: SurfaceModel) -> DivisorClass:
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise InputError("a divisor class must be an array of rationals")
-    coeffs = [parse_rational(v) for v in data]
-    return DivisorClass(coeffs) if model is None else model.divisor(coeffs)
+    # parse_rational reads a "p" string as an int: DivisorClass's fast path
+    return model.divisor([parse_rational(v) for v in data])
 
 
-def parse_class_arg(text: str,
-                    model: Optional[SurfaceModel] = None) -> DivisorClass:
+def parse_class_arg(text: str, model: SurfaceModel) -> DivisorClass:
     """Comma-separated coefficients from the command line, e.g.
     '3,-1,-1' or '1,1/2'."""
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if parts == [""]:
         raise InputError("empty class vector")
     return parse_class(parts, model)
@@ -269,8 +268,7 @@ def load_graph(path: str) -> DualGraph:
     return parse_graph(_load_json(path))
 
 
-def load_classes(path: str,
-                 model: Optional[SurfaceModel] = None) -> list[DivisorClass]:
+def load_classes(path: str, model: SurfaceModel) -> list[DivisorClass]:
     data = _load_json(path)
     if isinstance(data, Mapping):
         data = data.get("candidates")

@@ -126,9 +126,6 @@ class DivisorClass:
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self._combine(other, sub)
 
-    def __neg__(self):
-        return DivisorClass._make(tuple(-n for n in self.nums), self.den)
-
     def __mul__(self, scalar):
         s = parse_rational(scalar)
         return DivisorClass._make(

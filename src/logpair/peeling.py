@@ -41,6 +41,7 @@ def bark(g: DualGraph) -> BarkResult:
     coefficients: dict[str, Fraction] = {}
     bark_square = Fraction(0)
     gram_square = Fraction(0)
+    tips = 0
     for seg in report.admissible_segments:
         bad = [a for a in seg.coefficients if not 0 < a <= 1]
         if bad:
@@ -52,7 +53,9 @@ def bark(g: DualGraph) -> BarkResult:
             coefficients[vid] = a
             gram_square += a * (-2 + beta)
             bark_square += a * (-2 + max(beta, 1))
-    tips = len(report.tips)
+            # rod ends, twig tips and fork leaves have beta 1, a lone rod
+            # vertex has beta 0, and every other segment vertex beta >= 2
+            tips += beta <= 1
     sharp = {
         v.id: Fraction(1) - coefficients.get(v.id, Fraction(0))
         for v in g.vertices

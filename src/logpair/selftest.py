@@ -132,10 +132,9 @@ def _star_graph(center_genus: int, center_self: int,
     return DualGraph(vertices, edges)
 
 
-def _rod_graph(selfs: list[int], tag: str = "R") -> DualGraph:
-    vertices = [Vertex(f"{tag}{i}", 0, s) for i, s in enumerate(selfs)]
-    edges = [Edge(f"{tag}{i}", f"{tag}{i+1}", 1)
-             for i in range(len(selfs) - 1)]
+def _rod_graph(selfs: list[int]) -> DualGraph:
+    vertices = [Vertex(f"R{i}", 0, s) for i, s in enumerate(selfs)]
+    edges = [Edge(f"R{i}", f"R{i+1}", 1) for i in range(len(selfs) - 1)]
     return DualGraph(vertices, edges)
 
 
@@ -146,7 +145,7 @@ def random_bark_graph(rng: random.Random) -> DualGraph:
     if kind == "rod":
         return _rod_graph([s() for _ in range(rng.randint(1, 6))])
     if kind == "rods":
-        a = _rod_graph([s() for _ in range(rng.randint(1, 4))], "R")
+        a = _rod_graph([s() for _ in range(rng.randint(1, 4))])
         b = [Vertex(f"S{i}", 0, v) for i, v in
              enumerate(s() for _ in range(rng.randint(1, 4)))]
         edges = [Edge(f"S{i}", f"S{i+1}", 1) for i in range(len(b) - 1)]

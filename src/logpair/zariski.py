@@ -128,7 +128,8 @@ def verify_decomposition(
     candidates: Sequence[DivisorClass],
     z: ZariskiDecomposition,
 ) -> DecompositionCheck:
-    """Re-check the defining properties of a decomposition from scratch."""
+    """Re-check the six defining properties of a decomposition; the
+    definiteness test is the elimination `zariski_decompose` solved with."""
     _validate(model, x, candidates)
     support_classes = [candidates[i] for i in z.support]
     gram = [[model.intersect(a, b) for b in support_classes]

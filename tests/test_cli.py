@@ -20,7 +20,8 @@ from logpair.cli import _compact_span, build_parser, main
 from logpair.errors import InputError
 from logpair.examples import MAX_EX3_A
 from logpair.jsonio import (MAX_CANDIDATES, MAX_GRAM_ROWS, MAX_GRAPH_VERTICES,
-                            MAX_MODEL_POINTS, load_classes, parse_model)
+                            MAX_MODEL_POINTS, load_classes, load_model,
+                            parse_model)
 from logpair.search import MAX_GRID_POINTS
 
 FIXTURES = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures")
@@ -512,6 +513,11 @@ def test_empty_class_is_input_error(capsys):
      "argument --a: invalid int value: '1_0'"),
     (lambda tmp: ["selftest", "--criterion", "\u0668"],
      "argument --criterion: invalid int value: '\u0668'"),
+    # and so are the coefficients of a class typed on the command line
+    (lambda tmp: ["zariski", f"{FIXTURES}/one_point_model.json", "--class",
+                  " 1, 2 ", "--candidates",
+                  f"{FIXTURES}/one_point_candidates.json"],
+     "malformed rational ' 1'; use p or p/q"),
     (lambda tmp: ["pencil", f"{FIXTURES}/sextic_model.json", "--divisor",
                   "6,-2,-2,-2,-2,-2,-2,-2,-3/2", "--candidates",
                   f"{FIXTURES}/sextic_candidates.json"],
@@ -525,8 +531,8 @@ def test_empty_class_is_input_error(capsys):
      "fixed part subtraction did not settle within 1000 rounds; candidate "
      "list is not a fixed locus"),
 ], ids=["span", "span-underscore", "span-space", "span-digits",
-        "span-fraction", "int-underscore", "int-digits", "residual",
-        "rounds"])
+        "span-fraction", "int-underscore", "int-digits", "class-space",
+        "residual", "rounds"])
 def test_refused_run_is_one_error_line(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv(tmp_path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -768,7 +774,7 @@ def test_oversized_candidate_file_is_input_error(tmp_path, capsys):
     model = f"{FIXTURES}/one_point_model.json"
     pool = [[i, 1] for i in range(MAX_CANDIDATES + 1)]
     cands = _write_json(tmp_path, "cands.json", pool[:MAX_CANDIDATES])
-    assert len(load_classes(cands)) == MAX_CANDIDATES
+    assert len(load_classes(cands, load_model(model))) == MAX_CANDIDATES
     cands = _write_json(tmp_path, "cands.json", {"candidates": pool})
     for argv in (["zariski", model, "--class", "1,2"],
                  ["pencil", model, "--divisor", "1,2"]):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from logpair import (DualGraph, Edge, InputError, SurfaceModel, Vertex,
+from logpair import (DualGraph, Edge, InputError, SurfaceModel, Vertex, bark,
                      classify_segments)
 from logpair.dualgraph import Segment, SegmentReport, _admissibility
 from logpair.jsonio import load_graph
@@ -33,9 +33,9 @@ def admissible(rep, kind):
     return [s for s in rep.admissible_segments if s.kind == kind]
 
 
-def center(fork):
-    """The one fork vertex on none of its branches."""
-    [hub] = set(fork.vertices).difference(*fork.branches)
+def center(g, fork):
+    """The fork's hub: its one vertex of branching number 3."""
+    [hub] = [v for v in fork.vertices if g.branching_number(v) == 3]
     return hub
 
 
@@ -98,14 +98,14 @@ def test_class_map_validation():
 
 
 def test_rod_classification():
-    vs, es = chain([-2, -3, -2])
-    rep = classify_segments(DualGraph(vs, es))
+    g = DualGraph(*chain([-2, -3, -2]))
+    rep = classify_segments(g)
     assert len(admissible(rep, "rod")) == 1
     rod = admissible(rep, "rod")[0]
     assert rod.admissible
     assert rod.vertices == ("C0", "C1", "C2")
     # the two chain ends are the tips
-    assert sorted(rep.tips) == ["C0", "C2"]
+    assert bark(g).tips == 2
 
 
 def test_rod_with_minus_one_excluded():
@@ -140,13 +140,13 @@ def test_fork_classification():
     vs = [Vertex("C", 0, -2), Vertex("A", 0, -2), Vertex("B", 0, -2),
           Vertex("D", 0, -2)]
     es = [Edge("C", "A"), Edge("C", "B"), Edge("C", "D")]
-    rep = classify_segments(DualGraph(vs, es))
+    g = DualGraph(vs, es)
+    rep = classify_segments(g)
     assert len(admissible(rep, "fork")) == 1
     fork = admissible(rep, "fork")[0]
-    assert center(fork) == "C"
-    assert len(fork.branches) == 3
-    # a fork's tips are the free ends of its branches
-    assert sorted(rep.tips) == ["A", "B", "D"]
+    assert center(g, fork) == "C"
+    # a fork's tips are the free ends of its three branches
+    assert bark(g).tips == 3
 
 
 def test_genus_vertex_excluded():
@@ -238,7 +238,7 @@ def test_fork_outside_coefficient_range_excluded():
     rep = classify_segments(g)
     assert not admissible(rep, "fork") and not rep.admissible_segments
     [fork] = rep.excluded
-    assert fork.kind == "fork" and center(fork) == "C"
+    assert fork.kind == "fork" and center(g, fork) == "C"
     assert fork.reason == "bark coefficient 0 outside (0, 1]"
     assert fork.coefficients == ()
 
@@ -300,8 +300,10 @@ def _old_walk_from_tip(g, tip):
 
 def _old_classify_segments(g):
     """Three hand-written chain walks: the path order, the fork
-    branches and the tip walk, each with its own loop."""
+    branches and the tip walk, each with its own loop.  Returns the
+    report and each fork's branches, tip first, keyed by its vertices."""
     report = SegmentReport([])
+    fork_branches = {}
     for comp in g.components():
         path = _old_path_order(g, comp)
         if path is not None:
@@ -337,14 +339,32 @@ def _old_classify_segments(g):
                 reason = f"bark coefficient {bad[0]} outside (0, 1]"
                 coeffs = ()
             report.segments.append(
-                Segment("fork", tuple(comp), branches=tuple(branches),
-                        reason=reason, coefficients=coeffs))
+                Segment("fork", tuple(comp), reason=reason,
+                        coefficients=coeffs))
+            fork_branches[tuple(comp)] = tuple(branches)
             if reason is None or bad:
                 continue
         for tip in comp:
             if g.branching_number(tip) == 1:
                 report.segments.append(_old_walk_from_tip(g, tip))
-    return report
+    return report, fork_branches
+
+
+def _old_tips(g):
+    """The tips by segment shape: both ends of a rod (its one vertex when
+    it has one), the free end of a twig, the free end of each branch of
+    a fork."""
+    report, fork_branches = _old_classify_segments(g)
+    out = []
+    for s in report.admissible_segments:
+        if s.kind == "rod":
+            out.extend(s.vertices if len(s.vertices) == 1
+                       else (s.vertices[0], s.vertices[-1]))
+        elif s.kind == "twig":
+            out.append(s.vertices[0])
+        else:
+            out.extend(branch[0] for branch in fork_branches[s.vertices])
+    return out
 
 
 def _component_pairs(rng, n):
@@ -402,10 +422,9 @@ def test_one_chain_walk_matches_the_three_walks():
     seen = set()
     for _ in range(3000):
         g = _random_graph(rng)
-        want = _old_classify_segments(g)
+        want, _ = _old_classify_segments(g)
         got = classify_segments(g)
         assert got.segments == want.segments
-        assert got.tips == want.tips
         for seg in want.segments:
             seen.add((seg.kind, seg.admissible))
             if seg.reason is not None:
@@ -414,3 +433,20 @@ def test_one_chain_walk_matches_the_three_walks():
                 seen.add(kind)
     assert seen == ({(kind, ok) for kind in ("rod", "twig", "fork")
                      for ok in (True, False)} | set(REASON_KINDS))
+
+
+def test_tips_are_the_segment_vertices_of_beta_at_most_one():
+    # bark counts a tip as a bark-support vertex of branching number <= 1;
+    # the segment shapes give the same count
+    rng = random.Random(20)
+    seen = set()
+    for draw in range(3000):
+        g = (random_bark_graph if draw % 2 else _random_graph)(rng)
+        want = _old_tips(g)
+        bk = bark(g)
+        assert bk.tips == len(want)
+        for seg in bk.report.admissible_segments:
+            if set(seg.vertices) & set(want):
+                seen.add((seg.kind, len(seg.vertices) == 1))
+    assert seen >= {("rod", True), ("rod", False), ("twig", True),
+                    ("twig", False), ("fork", False)}

@@ -62,13 +62,14 @@ def test_log_chern_rejects_degenerate_boundary():
 
 
 def test_log_genus_rational():
+    rational = SurfaceModel.plane_blowup(0).hodge
     g1 = DualGraph([Vertex("A", 0, -2)])
-    assert log_genus_rational(g1) == (0, 0, 1)
+    assert log_genus_rational(g1, rational) == (0, 0, 1)
     # disjoint union: total pa = 1 + 0 - 1 = 0, so pg = 0 + 2 - 1 = 1
     g2 = DualGraph([Vertex("A", 1, 0), Vertex("B", 0, -2)])
-    assert log_genus_rational(g2) == (1, 1, 2)
+    assert log_genus_rational(g2, rational) == (1, 1, 2)
     with pytest.raises(InputError, match="empty"):
-        log_genus_rational(DualGraph([]))
+        log_genus_rational(DualGraph([]), rational)
     from logpair import HodgeData
     irr = HodgeData(q=1, p_g=0, h11=2, euler_e=0)
     with pytest.raises(InputError, match="only rational"):

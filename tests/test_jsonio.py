@@ -49,7 +49,7 @@ def test_rational_rejects_junk():
         with pytest.raises(InputError):
             parse_rational(bad)
         with pytest.raises(InputError):
-            parse_class([bad, 0])
+            parse_class([bad, 0], SurfaceModel.plane_blowup(1))
 
 
 def test_dumps_canonical_form():
@@ -79,7 +79,7 @@ def test_divisor_class_serialization():
             c = DivisorClass(xs)
             assert json.loads(dumps(c)) == [encode_rational(x) for x in xs]
             text = ",".join(str(encode_rational(x)) for x in xs)
-            assert parse_class_arg(text) == c
+            assert parse_class_arg(text, SurfaceModel.plane_blowup(n - 1)) == c
 
 
 def test_dataclass_serialization():
@@ -127,12 +127,13 @@ def test_dumps_refuses_numbers_past_the_int_text_limit():
 
 
 def test_parse_class_integer_spellings():
-    c = parse_class_arg("+3,-0,007,4/2")
+    c = parse_class_arg("+3,-0,007,4/2", SurfaceModel.plane_blowup(3))
     assert c.nums == (3, 0, 7, 2) and c.den == 1
+    m = SurfaceModel.plane_blowup(1)
     with pytest.raises(InputError):
-        parse_class_arg("1,true")
+        parse_class_arg("1,true", m)
     with pytest.raises(InputError):
-        parse_class([1, True])
+        parse_class([1, True], m)
 
 
 # The two readers of outside numbers that `parse_rational` replaced,

@@ -110,15 +110,15 @@ def test_fork_demoted_by_coefficients_falls_through_to_twigs():
     assert bk.coefficients == {f"A{i}.0": Fraction(1, 3) for i in range(3)}
 
 
-def sharp_boundary_class(g, result):
+def sharp_boundary_class(m, g, result):
     """D# = sum over components of (1 - bark coefficient) * class."""
-    total = g.model.zero()
+    total = m.zero()
     for v in g.vertices:
         total = total + result.sharp_coefficients[v.id] * g.class_map[v.id]
     return total
 
 
-def sharp_orthogonality_check(g, result) -> bool:
+def sharp_orthogonality_check(m, g, result) -> bool:
     """(K + D#) pairs to zero with every bark-support component.
 
     Checked through the linear-system residual always, and through direct
@@ -134,9 +134,9 @@ def sharp_orthogonality_check(g, result) -> bool:
             if lhs != rhs[j]:
                 return False
     if g.class_map is not None:
-        adjoint = g.model.canonical_class() + sharp_boundary_class(g, result)
+        adjoint = m.canonical_class() + sharp_boundary_class(m, g, result)
         for vid in result.coefficients:
-            if g.model.intersect(adjoint, g.class_map[vid]) != 0:
+            if m.intersect(adjoint, g.class_map[vid]) != 0:
                 return False
     return True
 
@@ -157,8 +157,8 @@ def test_sharp_boundary_orthogonality():
     bk = bark(g)
     # a rod of two (-2)s peels off entirely
     assert bk.coefficients == {"D1": Fraction(1), "D2": Fraction(1)}
-    assert sharp_orthogonality_check(g, bk)
-    sharp = sharp_boundary_class(g, bk)
+    assert sharp_orthogonality_check(m, g, bk)
+    sharp = sharp_boundary_class(m, g, bk)
     assert sharp == c
     adjoint = m.canonical_class() + sharp
     assert m.intersect(adjoint, d1) == 0

@@ -80,19 +80,25 @@ def path(tmp_path_factory):
     return tmp_path_factory.mktemp("classes") / "candidates.json"
 
 
+# candidates on one model share its basis length
+SAME_LENGTH_CLASSES = st.integers(1, 24).flatmap(lambda n: st.lists(
+    st.lists(RATIONALS, min_size=n, max_size=n).map(DivisorClass),
+    min_size=1, max_size=6))
+
+
 @SETTINGS
-@given(classes=st.lists(CLASSES, min_size=1, max_size=6))
+@given(classes=SAME_LENGTH_CLASSES)
 def test_dumps_load_classes_round_trip(path, classes):
+    model = SurfaceModel.plane_blowup(len(classes[0]) - 1)
     path.write_text(dumps(classes), encoding="utf-8")
-    assert load_classes(str(path)) == classes
+    assert load_classes(str(path), model) == classes
     path.write_text(dumps({"candidates": classes}), encoding="utf-8")
-    assert load_classes(str(path)) == classes
+    assert load_classes(str(path), model) == classes
 
 
 @SETTINGS
 @given(CLASSES)
 def test_dumps_parse_class_arg_round_trip(c):
     text = ",".join(str(v) for v in json.loads(dumps(c)))
-    assert parse_class_arg(text) == c
     model = SurfaceModel.plane_blowup(len(c) - 1)
     assert parse_class_arg(text, model) == c
