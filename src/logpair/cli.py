@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -31,6 +32,12 @@ from .peeling import bark
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1,2 or -1:1 as an unknown option, and only a lone
+        # number as a value; no option here starts with -<digit>
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
     # argparse exits with status 2 on bad arguments; bad arguments are
     # input errors here, so route them through InputError instead
     def error(self, message):

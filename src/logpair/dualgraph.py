@@ -103,24 +103,18 @@ class DualGraph:
                 raise InputError(f"class_map is missing vertex {v.id}")
         # one covector per vertex class, so a pairing costs the non-zero
         # coordinates of that class, not the basis length
-        ids = [v.id for v in self.vertices]
-        gram_den = model.gram_den
-        for i, u in enumerate(ids):
-            cu = self.class_map[u]
-            pair = model.pairing_with(cu)
-            self_int = self._by_id[u].self_int
-            if pair(cu) != self_int * cu.den * cu.den * gram_den:
+        classes = [self.class_map[v.id] for v in self.vertices]
+        for i, (u, _, self_int) in enumerate(self.vertices):
+            row = model.pairings(classes[i], classes[i:])
+            if row[0] != self_int:
                 raise InputError(
                     f"vertex {u}: class self-intersection disagrees with graph"
                 )
-            for w in ids[i + 1:]:
-                cw = self.class_map[w]
-                num, den = pair(cw), cu.den * cw.den * gram_den
+            for (w, _, _), p in zip(self.vertices[i + 1:], row[1:]):
                 stated = self._adj[u].get(w, 0)
-                if num != stated * den:
+                if p != stated:
                     raise InputError(
-                        f"edge {u}-{w}: class pairing "
-                        f"{number_text(Fraction(num, den))} "
+                        f"edge {u}-{w}: class pairing {number_text(p)} "
                         f"disagrees with stated multiplicity {stated}"
                     )
 

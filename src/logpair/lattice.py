@@ -9,7 +9,7 @@ and Gamma^2 = 0 for ``hirzebruch(e, n)``; and the whole user-supplied
 Gram matrix for ``custom(gram)``, a bare lattice for dual-graph-only
 workflows, which has no exceptional curves.  Classes are exact rational
 coefficient vectors, stored as integer numerators over one common
-denominator.
+denominator; every pairing leaves this module as an exact value.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -274,9 +274,9 @@ class SurfaceModel(NamedTuple):
                     total += x * g * bn[j]
         return Fraction(total, a.den * b.den * den)
 
-    def pairing_with(self, a: DivisorClass) -> Callable[[DivisorClass], int]:
-        """The function b -> the integer numerator of a.b over
-        a.den * b.den * gram_den.
+    def pairings(self, a: DivisorClass,
+                 classes: Iterable[DivisorClass]) -> list[int | Fraction]:
+        """a.b for each b in classes: an int when integral, else a Fraction.
 
         The covector of a (its Gram row) is built once from the non-zero
         coordinates of a, and each pairing sums over the non-zero
@@ -293,12 +293,15 @@ class SurfaceModel(NamedTuple):
             for j, g in zip(*head[k]):
                 cov[j] = cov.get(j, 0) + nums[k] * g
         cols, weights = tuple(cov), tuple(cov.values())
-
-        def pair(b: DivisorClass) -> int:
+        den *= a.den
+        out = []
+        for b in classes:
             if len(b) != n:
                 raise InputError("dimension mismatch")
-            return sum(map(mul, weights, map(b.nums.__getitem__, cols)))
-        return pair
+            num = sum(map(mul, weights, map(b.nums.__getitem__, cols)))
+            q, r = divmod(num, den * b.den)
+            out.append(Fraction(num, den * b.den) if r else q)
+        return out
 
     def self_intersection(self, a: DivisorClass) -> Fraction:
         return self.intersect(a, a)

@@ -58,7 +58,7 @@ def _counts(model: SurfaceModel, c: DivisorClass) -> tuple[
     """
     if c.den != 1:
         return None, None
-    if any(v > 0 for v in c.nums[len(model.gram_ints):]):
+    if any(v > 0 for v in c.nums[len(c) - model.num_points:]):
         return None, None
     square = model.self_intersection(c)
     count = (square - model.intersect(c, model.canonical_class())) / 2

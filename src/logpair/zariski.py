@@ -10,7 +10,6 @@ outside the set, and outputs carry that scope marker.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, NotDecomposableError
@@ -54,54 +53,39 @@ def zariski_decompose(
 ) -> ZariskiDecomposition:
     """Iterative fixpoint: start from the candidates X meets negatively,
     solve for the orthogonal negative part, then keep absorbing any
-    candidate the remainder still meets negatively."""
+    candidate the remainder still meets negatively.  The exact values
+    of `SurfaceModel.pairings` go to `linalg.solve_linear` as they are,
+    so its solution is N's coefficients."""
     _validate(model, x, candidates)
     cands = list(candidates)
-    # each pairing is computed once, as the integer numerator over
-    # gram_den of the classes times their own denominators: xc[j] pairs
-    # d_x X with d_j c_j, and table[i][j] pairs d_i c_i with d_j c_j,
-    # a row for each candidate once it is active
-    pair_x = model.pairing_with(x)
-    xc = [pair_x(c) for c in cands]
-    table: dict[int, list[int]] = {}
+    xc = model.pairings(x, cands)
     active = [i for i, p in enumerate(xc) if p < 0]
-    rounds = 0
-    while True:
-        rounds += 1
-        for i in active:
-            if i not in table:
-                pair = model.pairing_with(cands[i])
-                table[i] = [pair(c) for c in cands]
-        # the system in the scaled classes: d_x N = sum a_i d_i c_i, so
-        # c_i's coefficient in N is a_i d_i / d_x, of the same sign
-        if active:
-            scaled = linalg.solve_linear([[table[i][j] for j in active]
-                                          for i in active],
-                                         [xc[i] for i in active])
-            if scaled is None:
-                raise NotDecomposableError(
-                    "support Gram matrix is not negative definite")
-            if any(a < 0 for a in scaled):
-                raise NotDecomposableError(
-                    "negative coefficient in the candidate combination")
-        else:
-            scaled = []
-        # P.c_j has the sign of xc[j] - sum a_i table[i][j]; scale by
-        # the common denominator of the a_i to stay on integers
-        den = lcm(*(a.denominator for a in scaled))
-        nums = [a.numerator * (den // a.denominator) for a in scaled]
-        newly = [j for j in range(len(cands)) if j not in active
-                 and xc[j] * den < sum(n * table[i][j]
-                                       for i, n in zip(active, nums))]
+    rows = {i: model.pairings(cands[i], cands) for i in active}
+    negative, positive, coeffs = model.zero(), x, []
+    rounds = 1
+    while active:
+        coeffs = linalg.solve_linear(
+            [[rows[i][j] for j in active] for i in active],
+            [xc[i] for i in active])
+        if coeffs is None:
+            raise NotDecomposableError(
+                "support Gram matrix is not negative definite")
+        if any(a < 0 for a in coeffs):
+            raise NotDecomposableError(
+                "negative coefficient in the candidate combination")
+        negative = sum((a * cands[i] for i, a in zip(active, coeffs)),
+                       model.zero())
+        positive = x - negative
+        # P pairs to 0 with every active candidate, so none comes twice
+        newly = [j for j, p in enumerate(model.pairings(positive, cands))
+                 if p < 0]
         if not newly:
             break
         active = sorted(active + newly)
-    coeffs = [a * cands[i].den / x.den for i, a in zip(active, scaled)]
-    negative = model.zero()
-    for i, a in zip(active, coeffs):
-        negative = negative + a * cands[i]
+        rows.update((j, model.pairings(cands[j], cands)) for j in newly)
+        rounds += 1
     return ZariskiDecomposition(
-        positive=x - negative,
+        positive=positive,
         negative=negative,
         support=[i for i, a in zip(active, coeffs) if a != 0],
         coefficients=[a for a in coeffs if a != 0],

@@ -185,6 +185,29 @@ def _golden_argvs() -> list:
     return [*golden.CASES.values(), *golden.HASHED.values()]
 
 
+# a value that starts with a minus sign, spelled apart from its option;
+# the paths are relative to the repository root
+LEADING_MINUS = [
+    ["zariski", "fixtures/one_point_model.json", "--class", "-1,2",
+     "--candidates", "fixtures/one_point_candidates.json"],
+    ["search", "ex4", "--g", "2:3", "--x", "8", "--y", "-1:1"],
+]
+
+
+@pytest.mark.parametrize("argv", LEADING_MINUS, ids=" ".join)
+def test_leading_minus_value_reads_as_the_equals_spelling(
+        capsys, monkeypatch, argv):
+    # argparse took -1,2 and -1:1 for unknown options; the value must
+    # give what `--class=-1,2` and `--y=-1:1` give
+    monkeypatch.chdir(pathlib.Path(FIXTURES).parent)
+    i = next(i for i, a in enumerate(argv) if a.startswith("-")
+             and a[1:2].isdigit())
+    joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, *joined)
+
+
 # `main` builds arguments only for the subcommand named by argv[0]; each
 # of these must parse as it does with every subcommand's arguments
 PARSE_CASES = [
@@ -196,6 +219,8 @@ PARSE_CASES = [
     ["--format", "json", "peel", "x"], ["--foo", "peel", "x"],
     ["--", "peel", "x"], ["selftest", "--criterion", "x"],
     ["example", "run", "ex3", "--a", "q"],
+    # values that start with a minus sign
+    *LEADING_MINUS,
     # help and version
     ["-h"], ["--version"], ["example", "run", "--help"],
     *([cmd, "--help"] for cmd in ("peel", "zariski", "invariants", "pencil",

@@ -350,10 +350,11 @@ def _sparse_coeffs(rng, n, nonzero):
 
 
 @pytest.mark.parametrize("kind", ["plane", "ruled", "custom"])
-def test_pairing_with_matches_the_double_loop(kind):
+def test_pairings_match_the_double_loop(kind):
     # the covector route against the plain double loop over the Gram
     # matrix, for sparse and dense classes with their own denominators
     rng = random.Random(f"pairing-{kind}")
+    kinds = set()
     for n in (1, 2, 3, 9, 20):
         if kind == "plane":
             model = SurfaceModel.plane_blowup(n - 1)
@@ -365,19 +366,32 @@ def test_pairing_with_matches_the_double_loop(kind):
         gram = gram_matrix(model)
         for _ in range(8):
             xs = _sparse_coeffs(rng, n, rng.choice((0, 1, 2, n)))
-            a = model.divisor(xs)
-            pair = model.pairing_with(a)
-            for _ in range(4):
-                ys = _sparse_coeffs(rng, n, rng.choice((0, 1, 2, n)))
-                b = model.divisor(ys)
-                num = pair(b)
-                assert type(num) is int
-                assert (Fraction(num, a.den * b.den * model.gram_den)
-                        == _double_loop_intersect(gram, xs, ys))
+            ys = [_sparse_coeffs(rng, n, rng.choice((0, 1, 2, n)))
+                  for _ in range(4)]
+            # integral classes too, so that every denominator is 1
+            if rng.random() < 0.4:
+                xs = [Fraction(round(x)) for x in xs]
+                ys = [[Fraction(round(y)) for y in yy] for yy in ys]
+            # the first class spelled as "p" and "p/q" strings
+            a = model.divisor([str(x) for x in xs])
+            bs = [model.divisor(yy) for yy in ys]
+            got = model.pairings(a, bs)
+            assert len(got) == len(bs)
+            for v, yy, b in zip(got, ys, bs):
+                want = _double_loop_intersect(gram, xs, yy)
+                assert v == want
+                # an int exactly when the value is integral, whatever
+                # the denominator it was computed over
+                assert type(v) is (int if want.denominator == 1
+                                   else Fraction)
+                scaled = a.den * b.den * model.gram_den != 1
+                kinds.add((type(v), scaled))
+        assert model.pairings(a, []) == []
         with pytest.raises(InputError, match="dimension mismatch"):
-            pair(DivisorClass([0] * (n + 1)))
+            model.pairings(a, [a, DivisorClass([0] * (n + 1))])
         with pytest.raises(InputError, match="dimension mismatch"):
-            model.pairing_with(DivisorClass([0] * (n + 1)))
+            model.pairings(DivisorClass([0] * (n + 1)), [a])
+    assert kinds == {(int, False), (int, True), (Fraction, True)}
 
 
 def _coords(c) -> list:
