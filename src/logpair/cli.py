@@ -81,11 +81,14 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     if command in parsers:
         parsers = {command: parsers[command]}
 
+    def manifest(sp):
+        sp.add_argument("--manifest", metavar="PATH",
+                        help="write a reproducibility manifest here")
+
     def common(sp):
         sp.add_argument("--format", choices=["json", "table"],
                         default="json")
-        sp.add_argument("--manifest", metavar="PATH",
-                        help="write a reproducibility manifest here")
+        manifest(sp)
 
     if sp := parsers.get("peel"):
         sp.add_argument("graph", help="dual graph JSON file")
@@ -133,7 +136,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         sp.add_argument("--criterion", type=_int, action="append",
                         default=None, help="run only this criterion "
                                            "(repeatable)")
-        common(sp)
+        manifest(sp)
     return p
 
 
@@ -170,13 +173,8 @@ def _kv_table(report: dict) -> str:
 def _search_table(result: dict) -> str:
     headers = ["g", "e", "x", "y", "a", "k", "dim_positive", "big",
                "effective", "fixed_part", "feasible"]
-    rows = []
-    for r in result["rows"]:
-        q = r["inequalities"]
-        rows.append([_scalar(v) for v in (
-            r["g"], r["e"], r["x"], r["y"], r["a"], r["k"],
-            q["dim_positive"], q["big"], q["effective"], q["fixed_part"],
-            r["feasible"])])
+    rows = [[_scalar(r[h] if h in r else r["inequalities"][h])
+             for h in headers] for r in result["rows"]]
     out = render_table(headers, rows)
     ref = result["reference_claim"]
     out += (f"\nrows: {result['row_count']}, feasible: "
@@ -218,15 +216,11 @@ def _report(args) -> tuple[object, list[str]]:
         return {
             **record_fields(bk, omit=("report",)),
             "segments": [
-                {"kind": s.kind, "vertices": s.vertices,
-                 "attach": s.attach}
-                for s in bk.report.admissible_segments
-            ],
+                record_fields(s, omit=("reason", "coefficients"))
+                for s in bk.report.admissible_segments],
             "excluded": [
-                {"kind": s.kind, "vertices": s.vertices,
-                 "reason": s.reason}
-                for s in bk.report.excluded
-            ],
+                record_fields(s, omit=("attach", "coefficients"))
+                for s in bk.report.excluded],
         }, [args.graph]
 
     if args.command == "zariski":
@@ -316,14 +310,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         text, code, inputs = _run(args)
         sys.stdout.write(text)
-        manifest_path = getattr(args, "manifest", None)
-        if manifest_path:
+        if args.manifest:
             doc = run_manifest(argv, inputs, text, __version__)
             try:
-                with open(manifest_path, "w", encoding="utf-8") as fh:
+                with open(args.manifest, "w", encoding="utf-8") as fh:
                     fh.write(dumps(doc))
             except OSError as exc:
-                raise InputError(f"cannot write {manifest_path}: {exc}")
+                raise InputError(f"cannot write {args.manifest}: {exc}")
         return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

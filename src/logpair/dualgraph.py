@@ -264,7 +264,7 @@ def _twig(g: DualGraph, tip: str) -> Segment:
                 if len(g._adj[vid]) != 2 or g.vertex(vid).genus != 0
                 or any(m != 1 for m in g._adj[vid].values()))
     path, attach = (tip, *arm[:stop]), arm[stop]
-    if len(g._adj[attach]) < 3:
+    if g.branching_number(attach) < 3:
         return Segment("twig", path, attach=attach,
                        reason=f"attachment {attach} is not a branch vertex")
     reason, coeffs = _admissibility(g, path)

@@ -86,8 +86,7 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
     bk = rep.bark
     z = zariski.zariski_decompose(model,
                                   model.canonical_class() + boundary,
-                                  list(graph.class_map.values())
-                                  if graph.class_map else [])
+                                  list(graph.class_map.values()))
     return {
         "model": model.describe(),
         "boundary": boundary,

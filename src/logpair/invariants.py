@@ -100,7 +100,7 @@ class EulerBoundReport(NamedTuple):
     hypothesis_rhs: int
     chi_omega_log: int              # 2(q+l) + 1 - h11 - p_a
     conclusion_holds: bool          # e_open <= 2 pg_log + 1
-    strong_conclusion_holds: Optional[bool]  # e_open <= pg_log + 1 (p_g = 0)
+    strong_conclusion_holds: bool   # e_open <= pg_log + 1 (p_g = 0)
 
 
 def euler_bound_check(inv: LogInvariants,
@@ -113,15 +113,13 @@ def euler_bound_check(inv: LogInvariants,
     lhs = inv.pa_D
     rhs = 2 * (inv.l + hodge.q) + 1 - hodge.h11
     chi_omega = 2 * (hodge.q + inv.l) + 1 - hodge.h11 - inv.pa_D
-    weak = inv.e_open <= 2 * inv.pg_log + 1
-    strong = (inv.e_open <= inv.pg_log + 1) if hodge.p_g == 0 else None
     return EulerBoundReport(
         hypothesis_holds=lhs <= rhs,
         hypothesis_lhs=lhs,
         hypothesis_rhs=rhs,
         chi_omega_log=chi_omega,
-        conclusion_holds=weak,
-        strong_conclusion_holds=strong,
+        conclusion_holds=inv.e_open <= 2 * inv.pg_log + 1,
+        strong_conclusion_holds=inv.e_open <= inv.pg_log + 1,
     )
 
 

@@ -82,7 +82,7 @@ def _emit(obj, indent: str) -> str:
     if isinstance(obj, Fraction):
         return _rational(obj.numerator, obj.denominator)
     inner = indent + "  "
-    if isinstance(obj, (dict, Mapping)):
+    if isinstance(obj, dict):
         members = {}
         for k, v in obj.items():
             if not isinstance(k, str):
@@ -317,15 +317,13 @@ def render_table(headers: Sequence[str],
         for i, v in enumerate(row):
             widths[i] = max(widths[i], len(v))
 
-    def is_num(s: str) -> bool:
-        return bool(RATIONAL_RE.fullmatch(s))
-
     lines = ["  ".join(h.ljust(widths[i])
                        for i, h in enumerate(headers)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         out = []
         for i, v in enumerate(row):
-            out.append(v.rjust(widths[i]) if is_num(v) else v.ljust(widths[i]))
+            out.append(v.rjust(widths[i]) if RATIONAL_RE.fullmatch(v)
+                       else v.ljust(widths[i]))
         lines.append("  ".join(out).rstrip())
     return "\n".join(lines) + "\n"

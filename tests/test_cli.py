@@ -218,6 +218,7 @@ PARSE_CASES = [
     ["example", "walk"], ["peel", "x", "--format", "xml"],
     ["--format", "json", "peel", "x"], ["--foo", "peel", "x"],
     ["--", "peel", "x"], ["selftest", "--criterion", "x"],
+    ["selftest", "--format", "table"],
     ["example", "run", "ex3", "--a", "q"],
     # values that start with a minus sign
     *LEADING_MINUS,
@@ -321,15 +322,37 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_manifest_written(tmp_path, capsys):
-    mpath = tmp_path / "manifest.json"
-    code, out, _ = run_cli(capsys, "peel", f"{FIXTURES}/d4_fork.json",
-                           "--manifest", str(mpath))
-    assert code == 0
-    doc = json.loads(mpath.read_text())
-    assert doc["output_sha256"] == hashlib.sha256(
-        out.encode("utf-8")).hexdigest()
-    assert f"{FIXTURES}/d4_fork.json" in doc["inputs"]
-    assert doc["command"][0] == "peel"
+    mpath = str(tmp_path / "manifest.json")
+    fork = f"{FIXTURES}/d4_fork.json"
+    for argv, inputs in [(["peel", fork], [fork]),
+                         (["selftest", "--criterion", "8"], [])]:
+        code, out, _ = run_cli(capsys, *argv, "--manifest", mpath)
+        assert code == 0
+        doc = json.loads(pathlib.Path(mpath).read_text())
+        assert doc["output_sha256"] == hashlib.sha256(
+            out.encode("utf-8")).hexdigest()
+        assert list(doc["inputs"]) == inputs
+        assert doc["command"] == [*argv, "--manifest", mpath]
+
+
+def test_strong_euler_conclusion_is_a_bool_on_every_golden(
+        capsys, monkeypatch):
+    # every model with Hodge data has p_g = 0, so theorem 2's strong
+    # conclusion is evaluated on every report that carries one
+    monkeypatch.chdir(pathlib.Path(FIXTURES).parent)
+    seen = 0
+    for argv in _golden_argvs():
+        if argv[0] not in ("invariants", "example"):
+            continue
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        value = (doc["checks"]["euler_strong_conclusion"]
+                 if argv[0] == "invariants"
+                 else doc["euler_bound"]["strong_conclusion_holds"])
+        assert type(value) is bool
+        seen += 1
+    assert seen == 8
 
 
 def test_selftest_filter(capsys):
@@ -555,9 +578,12 @@ def test_empty_class_is_input_error(capsys):
                   _write_json(tmp, "cands.json", [[1, 0]])],
      "fixed part subtraction did not settle within 1000 rounds; candidate "
      "list is not a fixed locus"),
+    # selftest prints its criterion lines in one format only
+    (lambda tmp: ["selftest", "--criterion", "8", "--format", "table"],
+     "unrecognized arguments: --format table"),
 ], ids=["span", "span-underscore", "span-space", "span-digits",
         "span-fraction", "int-underscore", "int-digits", "class-space",
-        "residual", "rounds"])
+        "residual", "rounds", "selftest-format"])
 def test_refused_run_is_one_error_line(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv(tmp_path))
     assert (code, out, err) == (1, "", f"error: {message}\n")

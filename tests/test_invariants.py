@@ -1,5 +1,6 @@
 """Invariant identities, bound reports, and classification predicates."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from logpair import (DualGraph, InputError, SurfaceModel, Vertex,
                      invariant_report, log_chern, log_genus_rational,
                      main_theorem_predicate, noether_check)
 from logpair.errors import MESSAGE_DIGITS, number_text
-from logpair.examples import sextic_config
+from logpair.examples import degenerate_plane_config, sextic_config
+from logpair.jsonio import load_graph, load_model
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_log_chern_on_sextic_configuration():
@@ -204,3 +208,23 @@ def test_euler_routes_guard():
     assert inv.c2bar == h.euler_e + 2 * (inv.pa_D - 1 - inv.l)
     assert inv.e_open == (h.h11 + 2 * h.p_g - 4 * h.q
                           + 2 * inv.pa_D - 2 * inv.l)
+
+
+def _plane_c1bar_sq(d, mults):
+    """(K + D)^2 for D = dH - sum m_i E_i on P^2 blown up in n points,
+    as K^2 + 2 K.D + D^2 with K^2 = 9 - n and K.D = -3d + sum m_i."""
+    return ((9 - len(mults)) + 2 * (-3 * d + sum(mults))
+            + (d * d - sum(m * m for m in mults)))
+
+
+def test_c1bar_sq_matches_the_plane_closed_form():
+    model = load_model(str(FIXTURES / "sextic_model.json"))
+    graph = load_graph(str(FIXTURES / "sextic_graph.json"))
+    boundary = model.plane_class(6, [2] * 8)
+    assert log_chern(model, boundary, graph).c1bar_sq == _plane_c1bar_sq(
+        6, [2] * 8) == 1
+    for a in range(2, 41):
+        model, boundary, graph, _ = degenerate_plane_config(a)
+        mults = [3 * a - 3] + [2] * (4 * a - 4)
+        assert log_chern(model, boundary, graph).c1bar_sq == (
+            _plane_c1bar_sq(3 * a, mults)) == 2 * a - 3

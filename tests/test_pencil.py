@@ -1,13 +1,16 @@
 """Adjoint system analysis: dimension counts, bigness, fiber extraction."""
 
 import json
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from logpair import (InputError, NoPencilError, SurfaceModel,
                      analyze_adjoint_system, pencil)
+from logpair.examples import degenerate_plane_config, sextic_config
 from logpair.jsonio import dumps
 
 
@@ -215,3 +218,74 @@ def test_degenerate_family_sweep():
         assert res.multiple == 2 * a - 2
         assert res.fiber == m.plane_class(1, [1])
         assert (res.g, res.k) == (0, 3)
+
+
+def _plane_fiber_counts(d, mults, fiber_d, fiber_mults):
+    """(g, k) of a plane fiber F = d_F H - sum m_(F,i) E_i against
+    D = dH - sum m_i E_i by the plane closed forms: the genus of a plane
+    curve of degree d_F less the double points of its multiplicities,
+    and Bezout less the shared points."""
+    g = ((fiber_d - 1) * (fiber_d - 2)
+         - sum(m * (m - 1) for m in fiber_mults)) // 2
+    k = d * fiber_d - sum(map(operator.mul, mults, fiber_mults))
+    return g, k
+
+
+def _square_zero_plane_fiber(rng, n):
+    """A primitive F = d_F H - sum m_(F,i) E_i with d_F^2 = sum m_(F,i)^2
+    on n points: some multiplicities below d_F, the rest of the square
+    filled with simple points, in a random order; drawn again until it
+    fits on n points."""
+    while True:
+        d = rng.randint(1, 4)
+        mults = []
+        while rng.random() < 0.5 and d * d - sum(m * m for m in mults) > 1:
+            mults.append(rng.randint(1, d - 1))
+        left = d * d - sum(m * m for m in mults)
+        if left < 0:
+            continue
+        mults += [1] * left + [0] * (n - len(mults) - left)
+        if len(mults) == n and gcd(d, *mults) == 1:
+            rng.shuffle(mults)
+            return d, mults
+
+
+# (config, D's degree and multiplicities, the fiber's): ex2's fiber is
+# H - E8, and ex3's the lines H - E0 through the point of multiplicity
+# 3a - 3
+@pytest.mark.parametrize("config,d,mults,fiber_mults", [
+    (sextic_config, 6, [2] * 8, [0] * 7 + [1]),
+    *((lambda a=a: degenerate_plane_config(a), 3 * a,
+       [3 * a - 3] + [2] * (4 * a - 4), [1] + [0] * (4 * a - 4))
+      for a in (2, 3, 6, 40)),
+], ids=["ex2", "ex3-a2", "ex3-a3", "ex3-a6", "ex3-a40"])
+def test_pencil_counts_match_the_plane_closed_forms(config, d, mults,
+                                                    fiber_mults):
+    model, boundary, _, candidates = config()
+    res = analyze_adjoint_system(model, boundary, candidates)
+    assert res.fiber == model.plane_class(1, fiber_mults)
+    assert (res.g, res.k) == _plane_fiber_counts(d, mults, 1, fiber_mults)
+
+
+def test_plane_fiber_counts_match_the_closed_forms():
+    m = SurfaceModel.plane_blowup(9)
+    cubic = m.plane_class(3, [1] * 9)
+    res = analyze_adjoint_system(m, m.zero(), [], adjoint=cubic)
+    assert (res.fiber, res.g, res.k) == (cubic, 1, 0)
+    rng = random.Random("plane-fibers")
+    genera = set()
+    for _ in range(300):
+        n = rng.randint(9, 12)
+        fiber_d, fiber_mults = _square_zero_plane_fiber(rng, n)
+        d = rng.randint(1, 9)
+        mults = [rng.randint(0, 3) for _ in range(n)]
+        m = SurfaceModel.plane_blowup(n)
+        fiber = m.plane_class(fiber_d, fiber_mults)
+        res = analyze_adjoint_system(m, m.plane_class(d, mults), [],
+                                     adjoint=rng.randint(1, 3) * fiber)
+        assert res.fiber == fiber
+        assert (res.g, res.k) == _plane_fiber_counts(d, mults, fiber_d,
+                                                     fiber_mults)
+        genera.add(res.g)
+    # arithmetic genera, so a reducible square-zero class gives -1
+    assert {-1, 0, 1} <= genera
