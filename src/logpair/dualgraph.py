@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, number_text
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import DivisorClass, ModelKind, SurfaceModel
 from .linalg import solve_linear
 
 __all__ = [
@@ -34,42 +34,21 @@ __all__ = [
 ]
 
 
-# a NamedTuple cannot define __new__, so a record that validates its
-# fields is a thin subclass that checks them before building the tuple
-class _Vertex(NamedTuple):
+class Vertex(NamedTuple):
     id: str
     genus: int
     self_int: int
 
 
-class Vertex(_Vertex):
-    __slots__ = ()
-
-    def __new__(cls, id: str, genus: int, self_int: int):
-        if genus < 0:
-            raise InputError(f"vertex {id}: genus must be >= 0")
-        return super().__new__(cls, id, genus, self_int)
-
-
-class _Edge(NamedTuple):
+class Edge(NamedTuple):
     u: str
     v: str
-    mult: int
-
-
-class Edge(_Edge):
-    __slots__ = ()
-
-    def __new__(cls, u: str, v: str, mult: int = 1):
-        if u == v:
-            raise InputError(f"self loop at {u} is not allowed")
-        if mult < 1:
-            raise InputError("edge multiplicity must be >= 1")
-        return super().__new__(cls, u, v, mult)
+    mult: int = 1
 
 
 class DualGraph:
-    """Immutable weighted dual graph, optionally backed by lattice classes."""
+    """Immutable weighted dual graph, optionally backed by lattice classes;
+    the one place that decides whether a boundary graph is well formed."""
 
     def __init__(
         self,
@@ -80,11 +59,19 @@ class DualGraph:
     ):
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
+        for v in self.vertices:
+            if v.genus < 0:
+                raise InputError(f"vertex {v.id}: genus must be >= 0")
         self._by_id = {v.id: v for v in self.vertices}
         if len(self._by_id) != len(self.vertices):
             raise InputError("duplicate vertex ids")
         self._adj: dict[str, dict[str, int]] = {v.id: {} for v in self.vertices}
         for e in self.edges:
+            if e.u == e.v:
+                raise InputError(f"self loop at {e.u} is not allowed")
+            if e.mult < 1:
+                raise InputError(
+                    f"edge {e.u}-{e.v}: multiplicity must be >= 1")
             if e.u not in self._by_id or e.v not in self._by_id:
                 raise InputError(f"edge {e.u}-{e.v} references unknown vertex")
             if e.v in self._adj[e.u]:
@@ -102,10 +89,12 @@ class DualGraph:
             if v.id not in self.class_map:
                 raise InputError(f"class_map is missing vertex {v.id}")
         # one covector per vertex class, so a pairing costs the non-zero
-        # coordinates of that class, not the basis length
+        # coordinates of that class, not the basis length; K rides at the
+        # end of each row for the genus, and a custom model has no K
         classes = [self.class_map[v.id] for v in self.vertices]
-        for i, (u, _, self_int) in enumerate(self.vertices):
-            row = model.pairings(classes[i], classes[i:])
+        k = [] if model.kind is ModelKind.CUSTOM else [model.canonical_class()]
+        for i, (u, genus, self_int) in enumerate(self.vertices):
+            row = model.pairings(classes[i], classes[i:] + k)
             if row[0] != self_int:
                 raise InputError(
                     f"vertex {u}: class self-intersection disagrees with graph"
@@ -115,8 +104,16 @@ class DualGraph:
                 if p != stated:
                     raise InputError(
                         f"edge {u}-{w}: class pairing {number_text(p)} "
-                        f"disagrees with stated multiplicity {stated}"
+                        f"disagrees with stated multiplicity "
+                        f"{number_text(stated)}"
                     )
+            # adjunction: p_a = (c^2 + K.c)/2 + 1
+            p_a = Fraction(self_int + row[-1], 2) + 1 if k else genus
+            if p_a != genus:
+                raise InputError(
+                    f"vertex {u}: class has arithmetic genus "
+                    f"{number_text(p_a)}, the graph says {number_text(genus)}"
+                )
 
     # -- elementary queries ------------------------------------------------
 

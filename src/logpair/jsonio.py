@@ -249,8 +249,8 @@ def parse_graph(data) -> DualGraph:
         if not isinstance(u, str) or not isinstance(v, str):
             raise InputError("each edge needs string endpoints u and v")
         mult = re_.get("mult", 1)
-        if type(mult) is not int or mult < 1:
-            raise InputError(f"edge {u}-{v}: mult must be an integer >= 1")
+        if type(mult) is not int:
+            raise InputError(f"edge {u}-{v}: mult must be an integer")
         edges.append(Edge(u, v, mult))
     model = None
     class_map = None

@@ -489,6 +489,19 @@ MALFORMED = [
     ("graph", {"vertices": [{"id": "A", "self": "-\u0662"}]},
      "malformed rational '-\u0662'; use p or p/q"),
     ("class", "\u0661,\u0662", "malformed rational '\u0661'; use p or p/q"),
+    # the rules DualGraph decides
+    ("graph", {"vertices": [{"id": "A", "genus": -1, "self": -2}]},
+     "vertex A: genus must be >= 0"),
+    ("graph", {"vertices": [GRAPH_VERTEX], "edges": [{"u": "A", "v": "A"}]},
+     "self loop at A is not allowed"),
+    ("graph", {"vertices": [GRAPH_VERTEX, {"id": "B", "self": -2}],
+               "edges": [{"u": "A", "v": "B", "mult": 0}]},
+     "edge A-B: multiplicity must be >= 1"),
+    # E1 - E2 + E3 has square -3 and K.c = -1, so p_a = -1
+    ("graph", {"model": {"kind": "p2_blowup", "points": 3},
+               "vertices": [{"id": "A", "genus": 0, "self": -3,
+                             "class": [0, 1, -1, 1]}]},
+     "vertex A: class has arithmetic genus -1, the graph says 0"),
 ]
 
 
@@ -708,7 +721,11 @@ def test_vertex_classes_on_a_large_basis_check_fast(tmp_path, capsys):
      "edge A-C: class pairing 1 disagrees with stated multiplicity 2"),
     ([{"u": "A", "v": "C"}, {"u": "A", "v": "B"}],
      "edge A-B: class pairing -1/2 disagrees with stated multiplicity 1"),
-], ids=["missing_edge", "wrong_mult", "fractional"])
+    # a stated multiplicity past 100 digits is printed by its length
+    ([{"u": "C", "v": "A", "mult": 10 ** 150}],
+     "edge A-C: class pairing 1 disagrees with stated multiplicity "
+     "<151 digits>\n"),
+], ids=["missing_edge", "wrong_mult", "fractional", "huge_mult"])
 def test_wrong_vertex_pairing_is_input_error(tmp_path, capsys, edges,
                                              message):
     # A = E1 - E2, B = (E1 + E4 + E5 + E6)/2 and C = E2 - E3: A.B = -1/2,
@@ -733,10 +750,11 @@ def test_wrong_vertex_pairing_is_input_error(tmp_path, capsys, edges,
 
 
 @pytest.mark.parametrize("model,classes,b_self", [
-    # A = E1 - E2, C = E2 - E3 and B = (E4 + E5 + E6 + E7)/2 on a plane
+    # A = E1 - E2, C = E2 - E3 and B = (E4 + E5 + E6 - E7)/2 on a plane;
+    # B^2 = -1 and K.B = -1, so B has the genus 0 of its vertex
     ({"kind": "p2_blowup", "points": 7},
      [[0, 1, -1, 0, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0, 0, 0],
-      [0, 0, 0, 0, "1/2", "1/2", "1/2", "1/2"]], -1),
+      [0, 0, 0, 0, "1/2", "1/2", "1/2", "-1/2"]], -1),
     # A = 2e1, C = e2 and B = 2e3 on a Gram over 2
     ({"kind": "custom", "gram": [["-1/2", "1/2", 0], ["1/2", -2, 0],
                                  [0, 0, "-1/2"]]},

@@ -66,18 +66,30 @@ def test_graph_validation():
         DualGraph([Vertex("A", 0, -1), Vertex("A", 0, -2)])
     with pytest.raises(InputError):
         DualGraph([Vertex("A", 0, -1)], [Edge("A", "B")])
-    with pytest.raises(InputError):
-        Edge("A", "A")
-    with pytest.raises(InputError):
-        Edge("A", "B", 0)
-    with pytest.raises(InputError):
-        Vertex("A", -1, 0)
-    # an edge given twice, in either direction, is refused as written
+    # Vertex and Edge are plain tuples: the graph decides their rules
     ab = [Vertex("A", 0, -2), Vertex("B", 0, -2)]
+    with pytest.raises(InputError, match="^self loop at A is not allowed$"):
+        DualGraph(ab, [Edge("A", "A")])
+    with pytest.raises(InputError,
+                       match="^edge A-B: multiplicity must be >= 1$"):
+        DualGraph(ab, [Edge("A", "B", 0)])
+    with pytest.raises(InputError, match="^vertex A: genus must be >= 0$"):
+        DualGraph([Vertex("A", -1, 0)])
+    # an edge given twice, in either direction, is refused as written
     for second in (Edge("A", "B"), Edge("B", "A")):
         with pytest.raises(InputError,
                            match=f"^duplicate edge {second.u}-{second.v}$"):
             DualGraph(ab, [Edge("A", "B"), second])
+
+
+def test_seeded_bark_graphs_pass_the_graph_rules():
+    # every draw is built through DualGraph, which decides the genus,
+    # self-loop and multiplicity rules that Vertex and Edge leave open
+    rng = random.Random(23)
+    for _ in range(2000):
+        g = random_bark_graph(rng)
+        assert all(v.genus >= 0 for v in g.vertices)
+        assert all(e.u != e.v and e.mult >= 1 for e in g.edges)
 
 
 def test_class_map_validation():
@@ -95,6 +107,19 @@ def test_class_map_validation():
                   class_map={"A": e1, "B": e2})
     with pytest.raises(InputError, match="requires a model"):
         DualGraph([Vertex("A", 0, -1)], class_map={"A": e1})
+    cubic = m.plane_class(3, [0, 0])
+    DualGraph([Vertex("D", 1, 9)], model=m, class_map={"D": cubic})
+    with pytest.raises(InputError, match="^vertex D: class has arithmetic "
+                                         "genus 1, the graph says 0$"):
+        DualGraph([Vertex("D", 0, 9)], model=m, class_map={"D": cubic})
+    # on F_1 blown up once, 2 Dinf + 3 Gamma - E1 = 2 C0 + 5 F - E1 has
+    # p_a = (2 - 1)(5 - 1) - 1 * 2 * (2 - 1)/2 = 3
+    h = SurfaceModel.hirzebruch(1, 1)
+    bisection = h.ruled_class(2, 3, [1])
+    DualGraph([Vertex("B", 3, 15)], model=h, class_map={"B": bisection})
+    with pytest.raises(InputError, match="^vertex B: class has arithmetic "
+                                         "genus 3, the graph says 2$"):
+        DualGraph([Vertex("B", 2, 15)], model=h, class_map={"B": bisection})
 
 
 def test_rod_classification():

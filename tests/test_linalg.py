@@ -5,8 +5,10 @@ of the criterion-3 peeling draws (right-hand side -2 + beta) and the
 candidate Grams of the criterion-4 Zariski draws (right-hand side the
 pairings with the class).  Many of them are not negative definite.  The
 oracles share no code with `logpair.linalg`: Cramer's rule with Laplace
-determinants and Sylvester's criterion for n <= 3, and sympy's LU solve
-and definiteness test when sympy is installed.
+determinants and Sylvester's criterion for n <= 3, an LDL^T over
+Fractions at every size (also against the verifier's
+`support_negative_definite`), and sympy's LU solve and definiteness test
+when sympy is installed.
 """
 
 import random
@@ -14,7 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from logpair import InputError, classify_segments
+from logpair import (InputError, NotDecomposableError, SurfaceModel,
+                     classify_segments, verify_decomposition,
+                     zariski_decompose)
 from logpair.linalg import is_negative_definite, solve_linear
 from logpair.selftest import random_bark_graph, random_zariski_input
 
@@ -106,6 +110,69 @@ def test_all_systems_against_sympy():
         else:
             assert not is_negative_definite(m)
             assert x is None
+
+
+def _ldlt_negative_definite(m) -> bool:
+    """LDL^T over Fractions: d_k = a_kk - sum_j l_kj^2 d_j, and a symmetric
+    matrix is negative definite iff every d_k < 0.  Each earlier d_j is
+    then negative, so every division is by a non-zero pivot."""
+    n = len(m)
+    low = [[Fraction(0)] * n for _ in range(n)]
+    d = []
+    for k in range(n):
+        for i in range(k):
+            low[k][i] = (m[k][i] - sum(low[k][j] * low[i][j] * d[j]
+                                       for j in range(i))) / d[i]
+        d_k = m[k][k] - sum(low[k][j] ** 2 * d[j] for j in range(k))
+        if not d_k < 0:
+            return False
+        d.append(d_k)
+    return True
+
+
+def test_all_systems_against_ldlt():
+    # a second definiteness route at every size; Sylvester above stops
+    # at n <= 3
+    sizes = {True: set(), False: set()}
+    for m, _ in SYSTEMS:
+        nd = _ldlt_negative_definite(m)
+        assert is_negative_definite(m) == nd
+        sizes[nd].add(len(m))
+    assert max(sizes[True]) >= 5 and max(sizes[False]) >= 5
+
+
+def _support_checks():
+    """(model, x, candidates, decomposition) for the seeded draws, each
+    also with every candidate as its support, and the tampered input of
+    tests/test_zariski.py::test_verifier_flags_tampering."""
+    rng = random.Random(41926)
+    for _ in range(300):
+        model, x, cands = random_zariski_input(rng)
+        try:
+            z = zariski_decompose(model, x, cands)
+        except NotDecomposableError:
+            continue
+        yield model, x, cands, z
+        yield model, x, cands, z._replace(support=list(range(len(cands))))
+    m = SurfaceModel.plane_blowup(1)
+    x, e1 = m.divisor([1, 2]), m.exceptional(1)
+    z = zariski_decompose(m, x, [e1])
+    yield m, x, [e1], z
+    yield m, x, [e1], z._replace(positive=z.positive + e1,
+                                 negative=z.negative - e1,
+                                 coefficients=[c - 1 for c in z.coefficients])
+
+
+def test_verifier_support_definiteness_against_ldlt():
+    outcomes = []
+    for model, x, cands, z in _support_checks():
+        support = [cands[i] for i in z.support]
+        gram = [[model.intersect(a, b) for b in support] for a in support]
+        nd = _ldlt_negative_definite(gram)
+        assert verify_decomposition(
+            model, x, cands, z).support_negative_definite == nd
+        outcomes.append(nd)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 20
 
 
 @pytest.mark.parametrize("gram", [

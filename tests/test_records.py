@@ -1,10 +1,12 @@
 """Result records: validation at construction, immutability, JSON names.
 
 Every record of the package is a NamedTuple, so these pin what the
-tuple base must not change: the validating records raise their
-InputError texts when built, a field of a record cannot be assigned,
-and a record serializes as a JSON object (not an array) under its
-field names, with the renamed fields under their JSON names.
+tuple base must not change: the one validating record left,
+FamilyInstance, raises its InputError texts when built, a field of a
+record cannot be assigned, and a record serializes as a JSON object
+(not an array) under its field names, with the renamed fields under
+their JSON names.  Vertex and Edge are plain tuples; their rules are
+decided by the DualGraph built on them, so those cases build one.
 """
 
 import json
@@ -13,22 +15,27 @@ from fractions import Fraction
 import pytest
 
 from logpair import (ConstraintReport, DecompositionCheck, DivisorClass,
-                     Edge, EulerBoundReport, FamilyInstance, FixedPart,
-                     HodgeData, InputError, InvariantReport, LogInvariants,
-                     PencilResult, Segment, SurfaceModel, TheoremCheck,
-                     Vertex, ZariskiDecomposition, analyze_adjoint_system,
-                     bark, evaluate_constraints, invariant_report,
-                     main_theorem_predicate)
+                     DualGraph, Edge, EulerBoundReport, FamilyInstance,
+                     FixedPart, HodgeData, InputError, InvariantReport,
+                     LogInvariants, PencilResult, Segment, SurfaceModel,
+                     TheoremCheck, Vertex, ZariskiDecomposition,
+                     analyze_adjoint_system, bark, evaluate_constraints,
+                     invariant_report, main_theorem_predicate)
 from logpair.examples import sextic_config
 from logpair.jsonio import dumps
 
+_AB = [Vertex("A", 0, -2), Vertex("B", 0, -2)]
+
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: Vertex("A", genus=-1, self_int=0),
+    (lambda: DualGraph([Vertex("A", genus=-1, self_int=0)]),
      "vertex A: genus must be >= 0"),
-    (lambda: Edge("A", "A"), "self loop at A is not allowed"),
-    (lambda: Edge("A", "B", 0), "edge multiplicity must be >= 1"),
-    (lambda: Edge(u="A", v="B", mult=-3), "edge multiplicity must be >= 1"),
+    (lambda: DualGraph([Vertex("A", 0, -2)], [Edge("A", "A")]),
+     "self loop at A is not allowed"),
+    (lambda: DualGraph(_AB, [Edge("A", "B", 0)]),
+     "edge A-B: multiplicity must be >= 1"),
+    (lambda: DualGraph(_AB, [Edge(u="A", v="B", mult=-3)]),
+     "edge A-B: multiplicity must be >= 1"),
     (lambda: FamilyInstance("2", 0, 8, 1),
      "instance parameters must be integers"),
     (lambda: FamilyInstance(10, True, 8, 1),
