@@ -164,12 +164,6 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def _kv_table(report: dict) -> str:
-    rows: list = []
-    _flatten(report, "", rows)
-    return render_table(["field", "value"], rows)
-
-
 def _search_table(result: dict) -> str:
     headers = ["g", "e", "x", "y", "a", "k", "dim_positive", "big",
                "effective", "fixed_part", "feasible"]
@@ -299,8 +293,12 @@ def _run(args) -> tuple[str, int, list[str]]:
     report, inputs = _report(args)
     if args.format == "json":
         return dumps(report), 0, inputs
-    table = _search_table if args.command == "search" else _kv_table
-    return table(json.loads(dumps(report))), 0, inputs
+    tree = json.loads(dumps(report))
+    if args.command == "search":
+        return _search_table(tree), 0, inputs
+    rows: list = []
+    _flatten(tree, "", rows)
+    return render_table(["field", "value"], rows), 0, inputs
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -84,15 +84,16 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
                  candidates: list[DivisorClass]) -> dict:
     rep = invariant_report(model, boundary, graph)
     bk = rep.bark
-    z = zariski.zariski_decompose(model,
-                                  model.canonical_class() + boundary,
+    adjoint = model.canonical_class() + boundary
+    z = zariski.zariski_decompose(model, adjoint,
                                   list(graph.class_map.values()))
     return {
         "model": model.describe(),
         "boundary": boundary,
         "boundary_square": rep.boundary_square,
         "arithmetic_genus": {
-            "adjunction": int(model.arithmetic_genus(boundary)),
+            # log_chern's adjunction genus, checked against the graph
+            "adjunction": rep.invariants.pa_D,
             "dual_graph": graph.arithmetic_genus(),
         },
         "invariants": rep.invariants,
@@ -106,7 +107,8 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
             "holds": rep.bmy_holds,
         },
         "zariski": record_fields(z, omit=("coefficients", "rounds")),
-        "pencil": pencil.analyze_adjoint_system(model, boundary, candidates),
+        "pencil": pencil.analyze_adjoint_system(model, boundary, candidates,
+                                                adjoint=adjoint),
     }
 
 

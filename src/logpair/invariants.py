@@ -68,11 +68,11 @@ def log_chern(
             f"{number_text(pa_graph)}")
     pa = int(pa_class)
     l = graph.total_edge_multiplicity
-    k = model.canonical_class()
-    c1bar_sq = model.self_intersection(k + boundary)
+    adjoint = model.canonical_class() + boundary
+    c1bar_sq = model.intersect(adjoint, adjoint)
     c2bar = Fraction(hodge.euler_e + 2 * (pa - 1 - l))
     chi_o = 1 - hodge.q + hodge.p_g
-    chi_bar = chi_o + model.intersect(k + boundary, boundary) / 2
+    chi_bar = chi_o + model.intersect(adjoint, boundary) / 2
     pg_log, h1_log, m = log_genus_rational(graph, hodge)
     return LogInvariants(
         c1bar_sq=c1bar_sq,
@@ -150,7 +150,7 @@ def invariant_report(
     P^2 = (K+D)^2 - N^2.
     """
     inv = log_chern(model, boundary, graph)
-    d_sq = model.self_intersection(boundary)
+    d_sq = model.intersect(boundary, boundary)
     bk = peeling.bark(graph)
     p_sq = inv.c1bar_sq - bk.gram_square
     return InvariantReport(

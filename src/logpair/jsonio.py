@@ -152,8 +152,7 @@ def _reject_float(s: str):
 def parse_class(data, model: SurfaceModel) -> DivisorClass:
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise InputError("a divisor class must be an array of rationals")
-    # parse_rational reads a "p" string as an int: DivisorClass's fast path
-    return model.divisor([parse_rational(v) for v in data])
+    return model.divisor(data)
 
 
 def parse_class_arg(text: str, model: SurfaceModel) -> DivisorClass:

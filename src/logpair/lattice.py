@@ -303,9 +303,6 @@ class SurfaceModel(NamedTuple):
             out.append(Fraction(num, den * b.den) if r else q)
         return out
 
-    def self_intersection(self, a: DivisorClass) -> Fraction:
-        return self.intersect(a, a)
-
     def canonical_class(self) -> DivisorClass:
         if self.kind is ModelKind.P2_BLOWUP:
             head = (-3,)

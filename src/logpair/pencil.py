@@ -60,17 +60,11 @@ def _counts(model: SurfaceModel, c: DivisorClass) -> tuple[
         return None, None
     if any(v > 0 for v in c.nums[len(c) - model.num_points:]):
         return None, None
-    square = model.self_intersection(c)
+    square = model.intersect(c, c)
     count = (square - model.intersect(c, model.canonical_class())) / 2
     if model.kind is ModelKind.HIRZEBRUCH:
         return square / 2, count
     return square, count
-
-
-def _integer_content(c: DivisorClass) -> int:
-    if not c.is_integral():
-        raise NoPencilError("residual class is not integral")
-    return gcd(*c.nums)
 
 
 def analyze_adjoint_system(
@@ -109,11 +103,13 @@ def analyze_adjoint_system(
         raise InputError(
             "fixed part subtraction did not settle within "
             f"{_MAX_ROUNDS} rounds; candidate list is not a fixed locus")
-    content = _integer_content(current)
+    if not current.is_integral():
+        raise NoPencilError("residual class is not integral")
+    content = gcd(*current.nums)
     if content == 0:
         raise NoPencilError("residual class is zero")
     fiber = Fraction(1, content) * current
-    if model.self_intersection(fiber) != 0:
+    if model.intersect(fiber, fiber) != 0:
         raise NoPencilError(
             "residual is not a multiple of a square-zero class")
     # an integer: the fiber is integral, and c.(c + K) is even for integral c

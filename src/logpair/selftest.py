@@ -79,7 +79,7 @@ def check_ex2_pencil(c: _Check) -> None:
         c.equal(fp.cls, m.plane_class(2, [1] * 7), "fixed part class")
         c.equal(fp.pairing, Fraction(-1), "fixed part pairing")
     c.equal(p.residual, m.plane_class(1, [0] * 7 + [1]), "residual class")
-    c.equal(m.self_intersection(p.residual), Fraction(0),
+    c.equal(m.intersect(p.residual, p.residual), Fraction(0),
             "residual square")
     c.equal(p.multiple, 1, "pencil multiple")
     c.equal(p.g, 0, "fiber genus")
@@ -283,7 +283,7 @@ def check_family_search(c: _Check) -> None:
             inst = FamilyInstance(g, e, 8, 1)
             m = inst.model()
             f = inst.fiber(m)
-            c.expect(m.self_intersection(f) == 0,
+            c.expect(m.intersect(f, f) == 0,
                      f"(g,e)=({g},{e}): fiber square nonzero")
             c.expect(m.arithmetic_genus(f) == g,
                      f"(g,e)=({g},{e}): fiber genus wrong")

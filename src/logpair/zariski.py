@@ -118,16 +118,15 @@ def verify_decomposition(
     support_classes = [candidates[i] for i in z.support]
     gram = [[model.intersect(a, b) for b in support_classes]
             for a in support_classes]
-    p_sq = model.self_intersection(z.positive)
+    p_sq = model.intersect(z.positive, z.positive)
+    pc = [model.intersect(z.positive, c) for c in candidates]
     return DecompositionCheck(
         sum_matches=(z.positive + z.negative == x),
         coefficients_nonnegative=all(a >= 0 for a in z.coefficients),
         support_negative_definite=(not support_classes
                                    or linalg.is_negative_definite(gram)),
-        positive_orthogonal_to_support=all(
-            model.intersect(z.positive, c) == 0 for c in support_classes),
-        positive_nonnegative_on_candidates=all(
-            model.intersect(z.positive, c) >= 0 for c in candidates),
+        positive_orthogonal_to_support=all(pc[i] == 0 for i in z.support),
+        positive_nonnegative_on_candidates=all(v >= 0 for v in pc),
         positive_times_input_is_square=(
             model.intersect(z.positive, x) == p_sq),
     )

@@ -10,7 +10,8 @@ from logpair import (DualGraph, InputError, SurfaceModel, Vertex,
                      invariant_report, log_chern, log_genus_rational,
                      main_theorem_predicate, noether_check)
 from logpair.errors import MESSAGE_DIGITS, number_text
-from logpair.examples import degenerate_plane_config, sextic_config
+from logpair.examples import (degenerate_plane_config, run_example,
+                              sextic_config)
 from logpair.jsonio import load_graph, load_model
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -28,7 +29,7 @@ def test_log_chern_on_sextic_configuration():
     assert inv.pg_log == 2
     assert inv.h1_log == 0
     assert inv.m == 1
-    d_sq = model.self_intersection(boundary)
+    d_sq = model.intersect(boundary, boundary)
     assert d_sq == 4
     # 1 + 5 + 6(2-1) + 4 + 2*4 = 24 = 12 * 2
     assert noether_check(inv, d_sq)
@@ -218,14 +219,28 @@ def _plane_c1bar_sq(d, mults):
             + (d * d - sum(m * m for m in mults)))
 
 
+def _assert_report_reads_one_adjoint(report, model, boundary):
+    """An example report's two genus routes agree with log_chern's p_a,
+    and the pencil starts from the class that Zariski split, K + D."""
+    genus = report["arithmetic_genus"]
+    assert (genus["adjunction"] == genus["dual_graph"]
+            == report["invariants"].pa_D)
+    z = report["zariski"]
+    assert (report["pencil"].adjoint == z["P"] + z["N"]
+            == model.canonical_class() + boundary)
+
+
 def test_c1bar_sq_matches_the_plane_closed_form():
     model = load_model(str(FIXTURES / "sextic_model.json"))
     graph = load_graph(str(FIXTURES / "sextic_graph.json"))
     boundary = model.plane_class(6, [2] * 8)
     assert log_chern(model, boundary, graph).c1bar_sq == _plane_c1bar_sq(
         6, [2] * 8) == 1
+    _assert_report_reads_one_adjoint(run_example("ex2"), model, boundary)
     for a in range(2, 41):
         model, boundary, graph, _ = degenerate_plane_config(a)
         mults = [3 * a - 3] + [2] * (4 * a - 4)
         assert log_chern(model, boundary, graph).c1bar_sq == (
             _plane_c1bar_sq(3 * a, mults)) == 2 * a - 3
+        _assert_report_reads_one_adjoint(run_example("ex3", a), model,
+                                         boundary)

@@ -24,7 +24,7 @@ def test_plane_gram_and_canonical():
     ]
     k = m.canonical_class()
     assert k == m.divisor([-3, 1, 1])
-    assert m.self_intersection(k) == 9 - 2
+    assert m.intersect(k, k) == 9 - 2
 
 
 def test_hirzebruch_gram_and_canonical():
@@ -41,7 +41,7 @@ def test_hirzebruch_gram_and_canonical():
         head = SurfaceModel.hirzebruch(e, 1).gram_ints
         assert all(all(entries) for _, entries in head)
     # K^2 = 8 on the unblown surface, drops by one per point
-    assert m.self_intersection(k) == 7
+    assert m.intersect(k, k) == 7
 
 
 def test_class_arithmetic_and_immutability():
@@ -98,17 +98,17 @@ def test_adjunction_genus_classics():
     # degree-6 curve with eight double points: 10 - 8 = 2
     sextic = m.plane_class(6, [2] * 8)
     assert m.arithmetic_genus(sextic) == 2
-    assert m.self_intersection(sextic) == 36 - 4 * 8
+    assert m.intersect(sextic, sextic) == 36 - 4 * 8
 
 
 def test_adjunction_on_ruled_model():
     m = SurfaceModel.hirzebruch(3, 0)
     # fiber and the negative section are both rational
     fiber = m.ruled_class(0, 1)
-    assert m.self_intersection(fiber) == 0
+    assert m.intersect(fiber, fiber) == 0
     assert m.arithmetic_genus(fiber) == 0
     section = m.ruled_class(1, -3)
-    assert m.self_intersection(section) == -3
+    assert m.intersect(section, section) == -3
     assert m.arithmetic_genus(section) == 0
 
 
@@ -198,7 +198,7 @@ def test_blow_up_preserves_log_genus():
 def test_custom_model_limits():
     m = SurfaceModel.custom([[0, 1], [1, -2]])
     a = m.divisor([1, 1])
-    assert m.self_intersection(a) == 0 + 2 - 2
+    assert m.intersect(a, a) == 0 + 2 - 2
     with pytest.raises(InputError):
         m.canonical_class()
     with pytest.raises(InputError):

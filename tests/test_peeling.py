@@ -263,7 +263,7 @@ def _graph_of(model, classes):
     squares and edges, with their multiplicities, read from the
     pairings."""
     ids = list(classes)
-    vertices = [Vertex(v, 0, int(model.self_intersection(classes[v])))
+    vertices = [Vertex(v, 0, int(model.intersect(classes[v], classes[v])))
                 for v in ids]
     edges = [Edge(u, v, int(model.intersect(classes[u], classes[v])))
              for i, u in enumerate(ids) for v in ids[i + 1:]

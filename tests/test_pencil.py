@@ -55,7 +55,7 @@ def test_counts_match_the_parameter_counts():
         # a negative-square class is a fixed part of x + t*F for a
         # square-zero F it does not meet negatively and a suitable t;
         # the analysis then reports both counts
-        square = m.self_intersection(x)
+        square = m.intersect(x, x)
         if square >= 0:
             continue
         if kind == "p2":
@@ -100,7 +100,7 @@ def test_plane_big_margin_is_class_square():
     m = SurfaceModel.plane_blowup(8)
     for d, mults in [(3, [1] * 8), (6, [2] * 8), (4, [1, 2, 1])]:
         c = m.plane_class(d, mults + [0] * (8 - len(mults)))
-        assert pencil._counts(m, c)[0] == m.self_intersection(c)
+        assert pencil._counts(m, c)[0] == m.intersect(c, c)
     assert pencil._counts(m, m.plane_class(3, [1] * 8))[0] == 1
     m9 = SurfaceModel.plane_blowup(9)
     assert pencil._counts(m9, m9.plane_class(3, [1] * 9))[0] == 0
@@ -120,7 +120,7 @@ def test_hirzebruch_big_margin_is_half_square():
     for a, b, mults, margin in [(2, 1, [1] * 4, 6), (3, 0, [2, 1], 11),
                                 (1, 2, [], Fraction(7, 2))]:
         c = m.ruled_class(a, b, mults + [0] * (4 - len(mults)))
-        assert pencil._counts(m, c)[0] == m.self_intersection(c) / 2
+        assert pencil._counts(m, c)[0] == m.intersect(c, c) / 2
         assert pencil._counts(m, c)[0] == margin
     f0 = SurfaceModel.hirzebruch(0, 0)
     assert pencil._counts(f0, f0.ruled_class(1, 0))[0] == 0

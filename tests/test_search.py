@@ -38,7 +38,7 @@ def test_instance_geometry():
     assert inst.points == 44
     m = inst.model()
     f = inst.fiber(m)
-    assert m.self_intersection(f) == 0
+    assert m.intersect(f, f) == 0
     assert m.arithmetic_genus(f) == 10
     assert m.intersect(inst.boundary(m), f) == evaluate_constraints(inst).k
 
@@ -49,7 +49,7 @@ def test_fiber_square_and_genus_family_wide():
             inst = FamilyInstance(g, e, 8, 1)
             m = inst.model()
             f = inst.fiber(m)
-            assert m.self_intersection(f) == 0
+            assert m.intersect(f, f) == 0
             assert m.arithmetic_genus(f) == g
 
 

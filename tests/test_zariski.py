@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from logpair import (NEF_SCOPE, NotDecomposableError, SurfaceModel,
-                     verify_decomposition, zariski_decompose)
+                     ZariskiDecomposition, verify_decomposition,
+                     zariski_decompose)
 from logpair.linalg import solve_linear
 from logpair.selftest import random_zariski_input
 
@@ -124,6 +125,37 @@ def test_verifier_flags_tampering():
     assert not checks.all_ok
     assert checks.sum_matches  # the sum still adds up
     assert not checks.positive_orthogonal_to_support
+
+
+def test_verifier_flags_each_pairing_check_on_its_own():
+    # E2 comes first, so the support index (1) differs from its position
+    # in the support (0)
+    m = SurfaceModel.plane_blowup(2)
+    e1, e2 = m.exceptional(1), m.exceptional(2)
+    cands = [e2, e1]
+    # X = H + 2E1 split as P = H - E1, N = 3E1: P + N = X with support
+    # {E1}, and P meets E1 positively, so P is nonnegative on every
+    # candidate yet not orthogonal to the support (and so P.X != P^2)
+    x = m.divisor([1, 2, 0])
+    off = ZariskiDecomposition(m.divisor([1, -1, 0]), 3 * e1, [1],
+                               [Fraction(3)], 1)
+    checks = verify_decomposition(m, x, cands, off)
+    assert checks.sum_matches and checks.coefficients_nonnegative
+    assert checks.support_negative_definite
+    assert not checks.positive_orthogonal_to_support
+    assert checks.positive_nonnegative_on_candidates
+    assert not checks.positive_times_input_is_square
+    # X = H + 2E1 + E2 decomposed against {E1} alone, its support then
+    # indexed into cands, gives P = H + E2, N = 2E1: P is orthogonal to
+    # its support but meets E2, a candidate outside it, negatively, and
+    # that is the only check to fail
+    x = m.divisor([1, 2, 1])
+    z = zariski_decompose(m, x, [e1])._replace(support=[1])
+    checks = verify_decomposition(m, x, cands, z)
+    assert z.positive == m.divisor([1, 0, 1])
+    assert not checks.all_ok
+    assert not checks.positive_nonnegative_on_candidates
+    assert checks._replace(positive_nonnegative_on_candidates=True).all_ok
 
 
 def test_duplicate_candidates_rejected():
