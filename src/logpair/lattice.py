@@ -151,10 +151,6 @@ class HodgeData(NamedTuple):
     h11: int
     euler_e: int
 
-    @property
-    def is_rational_type(self) -> bool:
-        return self.q == 0 and self.p_g == 0
-
 
 class SurfaceModel(NamedTuple):
     kind: ModelKind

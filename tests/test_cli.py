@@ -502,6 +502,10 @@ MALFORMED = [
                "vertices": [{"id": "A", "genus": 0, "self": -3,
                              "class": [0, 1, -1, 1]}]},
      "vertex A: class has arithmetic genus -1, the graph says 0"),
+    # H on one point has genus 0, as a lone (-2)-vertex has, but square 1
+    ("boundary", {"vertices": [{"id": "A", "self": -2}]},
+     "inconsistent boundary square sources: the class gives 1, "
+     "the dual graph gives -2"),
 ]
 
 
@@ -518,7 +522,9 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, role, doc,
             "candidates": ["zariski", model, "--class", "1,2",
                            "--candidates", str(path)],
             "class": ["zariski", model, "--class", doc,
-                      "--candidates", cands]}[role]
+                      "--candidates", cands],
+            "boundary": ["invariants", model, str(path),
+                         "--class", "1,0"]}[role]
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
     _assert_one_error_line(code, err, message)

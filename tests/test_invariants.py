@@ -7,8 +7,8 @@ import pytest
 
 from logpair import (DualGraph, InputError, SurfaceModel, Vertex,
                      bmy_check, euler_bound_check, genus_bound,
-                     invariant_report, log_chern, log_genus_rational,
-                     main_theorem_predicate, noether_check)
+                     invariant_report, log_chern, main_theorem_predicate,
+                     noether_check)
 from logpair.errors import MESSAGE_DIGITS, number_text
 from logpair.examples import (degenerate_plane_config, run_example,
                               sextic_config)
@@ -66,19 +66,38 @@ def test_log_chern_rejects_degenerate_boundary():
         log_chern(model, model.divisor([Fraction(1, 2)] + [0] * 8), graph)
 
 
-def test_log_genus_rational():
-    rational = SurfaceModel.plane_blowup(0).hodge
-    g1 = DualGraph([Vertex("A", 0, -2)])
-    assert log_genus_rational(g1, rational) == (0, 0, 1)
-    # disjoint union: total pa = 1 + 0 - 1 = 0, so pg = 0 + 2 - 1 = 1
-    g2 = DualGraph([Vertex("A", 1, 0), Vertex("B", 0, -2)])
-    assert log_genus_rational(g2, rational) == (1, 1, 2)
-    with pytest.raises(InputError, match="empty"):
-        log_genus_rational(DualGraph([]), rational)
-    from logpair import HodgeData
-    irr = HodgeData(q=1, p_g=0, h11=2, euler_e=0)
-    with pytest.raises(InputError, match="only rational"):
-        log_genus_rational(g1, irr)
+def test_log_chern_rejects_mismatched_square():
+    # D_inf on F_0 has square 0 and genus 0; a lone (-2)-vertex agrees
+    # on the genus only
+    model = SurfaceModel.hirzebruch(0, 0)
+    graph = DualGraph([Vertex("A", 0, -2)])
+    with pytest.raises(InputError, match=(
+            "inconsistent boundary square sources: the class gives 0, "
+            "the dual graph gives -2")):
+        log_chern(model, model.ruled_class(1, 0), graph)
+
+
+def test_log_genus_on_rational_models():
+    # the line through three blown-up points is one (-2)-curve
+    m = SurfaceModel.plane_blowup(3)
+    line = log_chern(m, m.plane_class(1, [1, 1, 1]),
+                     DualGraph([Vertex("A", 0, -2)]))
+    assert (line.pg_log, line.h1_log, line.m) == (0, 0, 1)
+    # E1 + E2 is two disjoint (-1)-curves: p_a = 0 + 1 + 0 - 2 = -1,
+    # so pg_log = -1 + 2 - 1 = 0
+    m = SurfaceModel.plane_blowup(2)
+    pair = DualGraph([Vertex("E1", 0, -1), Vertex("E2", 0, -1)])
+    inv = log_chern(m, m.plane_class(0, [-1, -1]), pair)
+    assert (inv.pa_D, inv.pg_log, inv.h1_log, inv.m) == (-1, 0, 1, 2)
+    # -K on nine points has p_a 1 and square 0, as the empty graph does,
+    # and is refused only for being empty; a plane cubic (square 9) is
+    # refused for that before its square is compared
+    for m in (SurfaceModel.plane_blowup(9), SurfaceModel.plane_blowup(0)):
+        with pytest.raises(InputError, match="empty boundary graph"):
+            log_chern(m, m.plane_class(3, [1] * m.num_points), DualGraph([]))
+    # a zero boundary is refused before the graph is read
+    with pytest.raises(InputError, match="nonzero"):
+        log_chern(m, m.zero(), DualGraph([]))
 
 
 def test_euler_bound_report_fields():
@@ -219,12 +238,16 @@ def _plane_c1bar_sq(d, mults):
             + (d * d - sum(m * m for m in mults)))
 
 
-def _assert_report_reads_one_adjoint(report, model, boundary):
-    """An example report's two genus routes agree with log_chern's p_a,
+def _assert_report_reads_one_adjoint(report, model, d, mults):
+    """An example report's genus entries and D^2 agree with the plane
+    closed forms (d-1)(d-2)/2 - sum m_i(m_i-1)/2 and d^2 - sum m_i^2,
     and the pencil starts from the class that Zariski split, K + D."""
     genus = report["arithmetic_genus"]
     assert (genus["adjunction"] == genus["dual_graph"]
-            == report["invariants"].pa_D)
+            == report["invariants"].pa_D
+            == (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for m in mults))
+    assert report["boundary_square"] == d * d - sum(m * m for m in mults)
+    boundary = model.plane_class(d, mults)
     z = report["zariski"]
     assert (report["pencil"].adjoint == z["P"] + z["N"]
             == model.canonical_class() + boundary)
@@ -236,11 +259,11 @@ def test_c1bar_sq_matches_the_plane_closed_form():
     boundary = model.plane_class(6, [2] * 8)
     assert log_chern(model, boundary, graph).c1bar_sq == _plane_c1bar_sq(
         6, [2] * 8) == 1
-    _assert_report_reads_one_adjoint(run_example("ex2"), model, boundary)
+    _assert_report_reads_one_adjoint(run_example("ex2"), model, 6, [2] * 8)
     for a in range(2, 41):
         model, boundary, graph, _ = degenerate_plane_config(a)
         mults = [3 * a - 3] + [2] * (4 * a - 4)
         assert log_chern(model, boundary, graph).c1bar_sq == (
             _plane_c1bar_sq(3 * a, mults)) == 2 * a - 3
         _assert_report_reads_one_adjoint(run_example("ex3", a), model,
-                                         boundary)
+                                         3 * a, mults)
