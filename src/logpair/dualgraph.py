@@ -69,6 +69,9 @@ class DualGraph:
                 raise InputError(f"duplicate edge {e.u}-{e.v}")
             self._adj[e.u][e.v] = e.mult
             self._adj[e.v][e.u] = e.mult
+        # D^2 of the whole boundary: sum of C_i^2 + 2l
+        self.square = (sum(v.self_int for v in self.vertices)
+                       + 2 * self.total_edge_multiplicity)
         self.class_map = dict(class_map) if class_map is not None else None
         if self.class_map is not None:
             if model is None:

@@ -61,12 +61,11 @@ def log_chern(
         raise InputError("empty boundary graph")
     l = graph.total_edge_multiplicity
     d_sq_class = model.intersect(boundary, boundary)
-    d_sq_graph = sum(v.self_int for v in graph.vertices) + 2 * l
-    if d_sq_class != d_sq_graph:
+    if d_sq_class != graph.square:
         raise InputError(
             f"inconsistent boundary square sources: the class gives "
             f"{number_text(d_sq_class)}, the dual graph gives "
-            f"{number_text(d_sq_graph)}")
+            f"{number_text(graph.square)}")
     c2bar = Fraction(hodge.euler_e + 2 * (pa - 1 - l))
     m = len(graph.components())
     return LogInvariants(
@@ -124,7 +123,7 @@ def bmy_check(p_sq, n_sq, c2bar) -> bool:
 
 class InvariantReport(NamedTuple):
     invariants: LogInvariants
-    boundary_square: Fraction
+    boundary_square: int
     euler_bound: EulerBoundReport
     bark: BarkResult                # its gram_square is N^2
     p_sq: Fraction                  # P^2 = (K+D)^2 - N^2
@@ -141,19 +140,18 @@ def invariant_report(
 
     The negative part N of K+D is the bark of the boundary graph,
     empty or not, and P is the orthogonal remainder, so
-    P^2 = (K+D)^2 - N^2.
+    P^2 = (K+D)^2 - N^2.  D^2 is the graph's, checked by `log_chern`.
     """
     inv = log_chern(model, boundary, graph)
-    d_sq = model.intersect(boundary, boundary)
     bk = peeling.bark(graph)
     p_sq = inv.c1bar_sq - bk.gram_square
     return InvariantReport(
         invariants=inv,
-        boundary_square=d_sq,
+        boundary_square=graph.square,
         euler_bound=euler_bound_check(inv, model.hodge),
         bark=bk,
         p_sq=p_sq,
-        noether_holds=noether_check(inv, d_sq),
+        noether_holds=noether_check(inv, graph.square),
         bmy_holds=bmy_check(p_sq, bk.gram_square, inv.c2bar),
     )
 

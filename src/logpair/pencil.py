@@ -24,7 +24,7 @@ _MAX_ROUNDS = 1000
 
 class FixedPart(NamedTuple):
     cls: DivisorClass
-    pairing: Fraction        # (running adjoint) . cls at extraction, < 0
+    pairing: int | Fraction  # running class . cls when hit, < 0, exact
     dim_bound: Optional[Fraction]  # informational, not a gate
 
     _json_names = {"cls": "class"}
@@ -78,31 +78,33 @@ def analyze_adjoint_system(
     Starting from K + boundary (or an explicit adjoint), repeatedly
     subtract the first candidate the running class meets negatively;
     a negative pairing with an effective irreducible class forces that
-    class into the fixed locus.  The residual must be a positive
-    multiple of a square-zero class, the fiber; otherwise there is no
-    pencil to report.
+    class into the fixed locus.  Rounds run on exact pairings, less the
+    Gram row of each hit; the residual, built once from the hit counts,
+    must be a positive multiple of a square-zero class, the fiber.
     """
     if adjoint is None:
         adjoint = model.canonical_class() + boundary
     margin = _counts(model, adjoint)[0]
-    current = adjoint
+    running = model.pairings(adjoint, candidates)
+    # the Gram row and dimension count of each hit candidate, once
+    seen, hits = {}, [0] * len(candidates)
     fixed: list[FixedPart] = []
     for _ in range(_MAX_ROUNDS):
-        hit = None
-        pairing = None
-        for cand in candidates:
-            pairing = model.intersect(current, cand)
-            if pairing < 0:
-                hit = cand
-                break
-        if hit is None:
+        i = next((j for j, p in enumerate(running) if p < 0), None)
+        if i is None:
             break
-        fixed.append(FixedPart(hit, pairing, _counts(model, hit)[1]))
-        current = current - hit
+        if i not in seen:
+            seen[i] = (model.pairings(candidates[i], candidates),
+                       _counts(model, candidates[i])[1])
+        row, bound = seen[i]
+        fixed.append(FixedPart(candidates[i], running[i], bound))
+        hits[i] += 1
+        running = [p - q for p, q in zip(running, row)]
     else:
         raise InputError(
             "fixed part subtraction did not settle within "
             f"{_MAX_ROUNDS} rounds; candidate list is not a fixed locus")
+    current = sum((-n * c for n, c in zip(hits, candidates) if n), adjoint)
     if not current.is_integral():
         raise NoPencilError("residual class is not integral")
     content = gcd(*current.nums)

@@ -53,16 +53,15 @@ def zariski_decompose(
 ) -> ZariskiDecomposition:
     """Iterative fixpoint: start from the candidates X meets negatively,
     solve for the orthogonal negative part, then keep absorbing any
-    candidate the remainder still meets negatively.  The exact values
-    of `SurfaceModel.pairings` go to `linalg.solve_linear` as they are,
-    so its solution is N's coefficients."""
+    candidate the remainder still meets negatively.  Rounds run on the
+    exact values of `SurfaceModel.pairings` alone, solved as they are
+    by `linalg.solve_linear`; N and P are built once, after the loop."""
     _validate(model, x, candidates)
     cands = list(candidates)
     xc = model.pairings(x, cands)
     active = [i for i, p in enumerate(xc) if p < 0]
     rows = {i: model.pairings(cands[i], cands) for i in active}
-    negative, positive, coeffs = model.zero(), x, []
-    rounds = 1
+    coeffs, rounds = [], 1
     while active:
         coeffs = linalg.solve_linear(
             [[rows[i][j] for j in active] for i in active],
@@ -73,19 +72,18 @@ def zariski_decompose(
         if any(a < 0 for a in coeffs):
             raise NotDecomposableError(
                 "negative coefficient in the candidate combination")
-        negative = sum((a * cands[i] for i, a in zip(active, coeffs)),
-                       model.zero())
-        positive = x - negative
-        # P pairs to 0 with every active candidate, so none comes twice
-        newly = [j for j, p in enumerate(model.pairings(positive, cands))
-                 if p < 0]
+        # P.c_j = X.c_j - sum a_i c_i.c_j, which is 0 for an active c_j
+        newly = [j for j, p in enumerate(xc)
+                 if p < sum(a * rows[i][j] for i, a in zip(active, coeffs))]
         if not newly:
             break
         active = sorted(active + newly)
         rows.update((j, model.pairings(cands[j], cands)) for j in newly)
         rounds += 1
+    negative = sum((a * cands[i] for i, a in zip(active, coeffs)),
+                   model.zero())
     return ZariskiDecomposition(
-        positive=positive,
+        positive=x - negative,
         negative=negative,
         support=[i for i, a in zip(active, coeffs) if a != 0],
         coefficients=[a for a in coeffs if a != 0],

@@ -861,6 +861,28 @@ def test_oversized_candidate_file_is_input_error(tmp_path, capsys):
         assert f"has {MAX_CANDIDATES + 1} classes; the limit is" in err
 
 
+def test_never_settling_pencil_at_the_caps_is_fast(tmp_path, capsys):
+    # D = H on a MAX_MODEL_POINTS plane: the adjoint -2H + sum E pairs 0
+    # with each root E_i - E_(i+1) and negatively with H, and so does
+    # every class left by subtracting H, so each round scans every
+    # candidate and the analysis gives up after 1000 rounds
+    points = MAX_MODEL_POINTS
+    roots = [[0] * i + [1, -1] + [0] * (points - i - 1)
+             for i in range(1, MAX_CANDIDATES)]
+    model = _write_json(tmp_path, "model.json",
+                        {"kind": "p2_blowup", "points": points})
+    cands = _write_json(tmp_path, "cands.json",
+                        roots + [[1] + [0] * points])
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "pencil", model, "--divisor",
+                             ",".join(["1"] + ["0"] * points),
+                             "--candidates", cands)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (
+        1, "", "error: fixed part subtraction did not settle within 1000 "
+        "rounds; candidate list is not a fixed locus\n")
+
+
 # Start-up import map, read in fresh interpreters: `-I` keeps the
 # user's site and PYTHONPATH out, so the source directory comes in as
 # the first argument.

@@ -2,16 +2,21 @@
 
 import json
 import operator
+import pathlib
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from logpair import (InputError, NoPencilError, SurfaceModel,
-                     analyze_adjoint_system, pencil)
-from logpair.examples import degenerate_plane_config, sextic_config
-from logpair.jsonio import dumps
+from logpair import (FixedPart, InputError, NoPencilError, PencilResult,
+                     SurfaceModel, analyze_adjoint_system, log_chern, pencil)
+from logpair.examples import (MAX_EX3_A, degenerate_plane_config,
+                              sextic_config)
+from logpair.jsonio import (dumps, load_classes, load_graph, load_model,
+                            parse_class_arg)
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _parameter_counts(kind, e, degs, mults):
@@ -289,3 +294,146 @@ def test_plane_fiber_counts_match_the_closed_forms():
         genera.add(res.g)
     # arithmetic genera, so a reducible square-zero class gives -1
     assert {-1, 0, 1} <= genera
+
+
+def _pencil_from_scratch(model, boundary, candidates, adjoint=None):
+    """The analysis as it was before the pairing table: every round
+    pairs the running class afresh with each candidate by `intersect`
+    and subtracts the hit as a class, and every hit counts its
+    dimension again."""
+    if adjoint is None:
+        adjoint = model.canonical_class() + boundary
+    margin = pencil._counts(model, adjoint)[0]
+    current = adjoint
+    fixed = []
+    for _ in range(1000):
+        for cand in candidates:
+            pairing = model.intersect(current, cand)
+            if pairing < 0:
+                break
+        else:
+            break
+        fixed.append(FixedPart(cand, pairing, pencil._counts(model, cand)[1]))
+        current = current - cand
+    else:
+        raise InputError(
+            "fixed part subtraction did not settle within 1000 rounds; "
+            "candidate list is not a fixed locus")
+    if not current.is_integral():
+        raise NoPencilError("residual class is not integral")
+    content = gcd(*current.nums)
+    if content == 0:
+        raise NoPencilError("residual class is zero")
+    fiber = Fraction(1, content) * current
+    if model.intersect(fiber, fiber) != 0:
+        raise NoPencilError(
+            "residual is not a multiple of a square-zero class")
+    k = model.intersect(boundary, fiber)
+    if k.denominator != 1:
+        raise NoPencilError("boundary pairing with the fiber is not integral")
+    return PencilResult(
+        adjoint=adjoint, big=None if margin is None else margin > 0,
+        big_margin=margin, fixed_parts=tuple(fixed), residual=current,
+        multiple=content, fiber=fiber, g=int(model.arithmetic_genus(fiber)),
+        k=int(k), b=0)
+
+
+def _pencil_outcome(analyze, *args, **kwargs):
+    try:
+        return analyze(*args, **kwargs)
+    except (InputError, NoPencilError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _pencil_draw(rng):
+    """(model, boundary, candidates, adjoint or None) on a plane or ruled
+    blow-up.  The pool holds negative curves that cascade (E_i, the
+    roots E_i - E_(i+1), lines or fibers through points), a square-zero
+    class that is never used up, and halves of pool members; an
+    explicit adjoint is a fiber multiple plus pool members, so that
+    several fixed parts come off it."""
+    n = rng.randint(2, 6)
+    if rng.random() < 0.5:
+        m = SurfaceModel.plane_blowup(n)
+        head = 1
+        fiber = m.plane_class(1, [1])
+        boundary = m.plane_class(rng.randint(2, 9),
+                                 [rng.randint(0, 3) for _ in range(n)])
+        pool = [m.plane_class(1, [0] + [1 if j in (i, i + 1) else 0
+                                        for j in range(1, n)])
+                for i in range(1, n - 1)]
+    else:
+        e = rng.randint(0, 3)
+        m = SurfaceModel.hirzebruch(e, n)
+        head = 2
+        fiber = m.ruled_class(0, 1)
+        boundary = m.ruled_class(rng.randint(1, 4), rng.randint(0, 6),
+                                 [rng.randint(0, 3) for _ in range(n)])
+        pool = [m.ruled_class(0, 1, [0] * i + [1]) for i in range(1, n)]
+        if e:
+            pool.append(m.ruled_class(1, -e))
+    ex = [m.basis_class(head + i) for i in range(n)]
+    pool += ex[1:] + [a - b for a, b in zip(ex[1:], ex[2:])]
+    cands = rng.sample(pool, rng.randint(1, min(len(pool), 6)))
+    if rng.random() < 0.3:
+        cands = [Fraction(1, rng.randint(2, 3)) * c if rng.random() < 0.5
+                 else c for c in cands]
+    if rng.random() < 0.1:
+        cands.append(fiber)
+    rng.shuffle(cands)
+    adjoint = None
+    if rng.random() < 0.6:
+        adjoint = rng.randint(1, 3) * fiber
+        for c in rng.sample(cands, rng.randint(1, len(cands))):
+            adjoint = adjoint + rng.randint(1, 3) * c
+    return m, boundary, cands, adjoint
+
+
+def test_pairing_rows_match_the_from_scratch_rounds():
+    rng = random.Random(26011)
+    kinds = {"multi_round": 0, "fractional": 0, "explicit": 0,
+             "default": 0, "refused": 0, "unsettled": 0}
+    for _ in range(600):
+        m, boundary, cands, adjoint = _pencil_draw(rng)
+        want = _pencil_outcome(_pencil_from_scratch, m, boundary, cands,
+                               adjoint=adjoint)
+        got = _pencil_outcome(analyze_adjoint_system, m, boundary, cands,
+                              adjoint=adjoint)
+        if isinstance(want, PencilResult):
+            assert isinstance(got, PencilResult)
+            for field, value in zip(want._fields, want):
+                assert getattr(got, field) == value, field
+            kinds["multi_round"] += len(want.fixed_parts) > 1
+            kinds["fractional"] += any(not f.cls.is_integral()
+                                       for f in want.fixed_parts)
+        else:
+            assert got == want
+            kinds["refused"] += 1
+            kinds["unsettled"] += "did not settle" in want[1]
+        kinds["explicit" if adjoint is not None else "default"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def _pencil_and_graph_counts(model, boundary, graph, candidates):
+    """(multiple + 1, pg_log): h^0(K + D) by the pencil, h^0(aF) = a + 1
+    over P^1, and by the boundary graph, p_a(D) + m - 1."""
+    res = analyze_adjoint_system(model, boundary, candidates)
+    return res.multiple + 1, log_chern(model, boundary, graph).pg_log
+
+
+@pytest.mark.parametrize("a", [*range(2, 61), 137, MAX_EX3_A])
+def test_pencil_count_matches_the_log_genus_on_ex3(a):
+    model, boundary, graph, candidates = degenerate_plane_config(a)
+    want = 2 * a - 1  # p_a(D) = 2a - 1 on one irreducible vertex
+    assert _pencil_and_graph_counts(model, boundary, graph,
+                                    candidates) == (want, want)
+
+
+def test_pencil_count_matches_the_log_genus_on_the_sextic():
+    model = load_model(str(FIXTURES / "sextic_model.json"))
+    configs = [sextic_config(), (
+        model, parse_class_arg("6,-2,-2,-2,-2,-2,-2,-2,-2", model),
+        load_graph(str(FIXTURES / "sextic_graph.json")),
+        load_classes(str(FIXTURES / "sextic_candidates.json"), model))]
+    for config in configs:
+        assert _pencil_and_graph_counts(*config) == (2, 2)
