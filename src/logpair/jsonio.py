@@ -48,7 +48,7 @@ MAX_GRAPH_VERTICES = 256
 # largest candidate file accepted: four times the largest bundled or
 # benchmark pool.  Both fixed points run on the candidates' pairings;
 # on a model of MAX_MODEL_POINTS points, a 32-root chain takes 32
-# `zariski` rounds in about 0.12 s, and a `pencil` that never settles
+# `zariski` rounds in about 0.06 s, and a `pencil` that never settles
 # is refused after 1,000 rounds in about 0.03 s.
 MAX_CANDIDATES = 32
 

@@ -73,8 +73,8 @@ def zariski_decompose(
             raise NotDecomposableError(
                 "negative coefficient in the candidate combination")
         # P.c_j = X.c_j - sum a_i c_i.c_j, which is 0 for an active c_j
-        newly = [j for j, p in enumerate(xc)
-                 if p < sum(a * rows[i][j] for i, a in zip(active, coeffs))]
+        newly = [j for j, p in enumerate(xc) if j not in rows
+                 and p < sum(a * rows[i][j] for i, a in zip(active, coeffs))]
         if not newly:
             break
         active = sorted(active + newly)

@@ -162,13 +162,6 @@ def test_search_table_window_line_matches_the_json(capsys):
                                      if r["variant_nonempty"]]
 
 
-def test_bad_span_is_input_error(capsys):
-    code, _, err = run_cli(capsys, "search", "ex4", "--g", "10-12",
-                           "--x", "8:8", "--y", "1:1")
-    assert code == 1
-    assert "LO:HI" in err
-
-
 def test_argparse_errors_map_to_exit_one(capsys):
     assert run_cli(capsys, "bogus")[0] == 1
     assert run_cli(capsys, "zariski", f"{FIXTURES}/one_point_model.json")[0] == 1
@@ -302,12 +295,6 @@ def test_runs_in_one_process_match_fresh_processes():
         assert _in_process(REUSE_MIX[i]) == fresh[i], REUSE_MIX[i]
 
 
-def test_missing_file_is_exit_one(capsys):
-    code, _, err = run_cli(capsys, "peel", "no/such/file.json")
-    assert code == 1
-    assert "error:" in err
-
-
 def test_byte_identical_reruns(capsys):
     args = ("invariants", f"{FIXTURES}/sextic_model.json",
             f"{FIXTURES}/sextic_graph.json",
@@ -400,52 +387,10 @@ def _write_json(tmp_path, name, doc) -> str:
     return str(path)
 
 
-def test_boolean_points_is_input_error(tmp_path, capsys):
-    model = _write_json(tmp_path, "model.json",
-                        {"kind": "p2_blowup", "points": True})
-    code, out, err = run_cli(
-        capsys, "zariski", model, "--class", "1,2",
-        "--candidates", f"{FIXTURES}/one_point_candidates.json")
-    assert code == 1
-    assert out == ""
-    assert "p2_blowup needs integer points" in err
-
-
-def test_boolean_hirzebruch_degree_is_input_error(tmp_path, capsys):
-    model = _write_json(tmp_path, "model.json",
-                        {"kind": "hirzebruch", "e": True, "points": 0})
-    cands = _write_json(tmp_path, "cands.json", [[0, 1]])
-    code, out, err = run_cli(capsys, "zariski", model, "--class", "1,1",
-                             "--candidates", cands)
-    assert code == 1
-    assert out == ""
-    assert "hirzebruch needs integer e" in err
-
-
-def test_boolean_vertex_genus_is_input_error(tmp_path, capsys):
-    graph = _write_json(tmp_path, "graph.json", {
-        "vertices": [{"id": "A", "genus": True, "self": -2}],
-        "edges": []})
-    code, out, err = run_cli(capsys, "peel", graph)
-    assert code == 1
-    assert out == ""
-    assert "vertex A: genus must be an integer" in err
-
-
-def test_boolean_edge_mult_is_input_error(tmp_path, capsys):
-    graph = _write_json(tmp_path, "graph.json", {
-        "vertices": [{"id": "A", "self": -2}, {"id": "B", "self": -2}],
-        "edges": [{"u": "A", "v": "B", "mult": True}]})
-    code, out, err = run_cli(capsys, "peel", graph)
-    assert code == 1
-    assert out == ""
-    assert "edge A-B: mult must be an integer" in err
-
-
 GRAPH_VERTEX = {"id": "A", "self": -2}
 
-# malformed input: (the role of the file or of `--class`, its content,
-# the message)
+# malformed input: (the role of the file or of `--class`, its content as
+# a JSON document, text or bytes, the message)
 MALFORMED = [
     ("graph", [GRAPH_VERTEX], "graph JSON must be an object"),
     ("model", [1, 2], "model JSON must be an object"),
@@ -506,6 +451,21 @@ MALFORMED = [
     ("boundary", {"vertices": [{"id": "A", "self": -2}]},
      "inconsistent boundary square sources: the class gives 1, "
      "the dual graph gives -2"),
+    # a bool is not an integer, though `bool` subclasses `int`
+    pytest.param("model", {"kind": "p2_blowup", "points": True},
+                 "p2_blowup needs integer points", id="model-bool-points"),
+    pytest.param("model", {"kind": "hirzebruch", "e": True, "points": 0},
+                 "hirzebruch needs integer e", id="model-bool-e"),
+    pytest.param("graph", {"vertices": [{"id": "A", "genus": True,
+                                         "self": -2}], "edges": []},
+                 "vertex A: genus must be an integer", id="graph-bool-genus"),
+    pytest.param("graph", {"vertices": [GRAPH_VERTEX, {"id": "B", "self": -2}],
+                           "edges": [{"u": "A", "v": "B", "mult": True}]},
+                 "edge A-B: mult must be an integer", id="graph-bool-mult"),
+    pytest.param("graph", b'{"vertices": [{"id": "\xe9", "self": -1}]}',
+                 "is not valid JSON: 'utf-8' codec", id="graph-non-utf8"),
+    pytest.param("graph", "[" * 100_000 + "]" * 100_000,
+                 "is nested too deeply to read", id="graph-nested"),
 ]
 
 
@@ -513,7 +473,10 @@ MALFORMED = [
 def test_malformed_input_file_is_input_error(tmp_path, capsys, role, doc,
                                              message):
     path = tmp_path / "input.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     model = f"{FIXTURES}/one_point_model.json"
     cands = f"{FIXTURES}/one_point_candidates.json"
     argv = {"graph": ["peel", str(path)],
@@ -535,30 +498,6 @@ def _assert_one_error_line(code, err, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
-
-
-def test_non_utf8_input_file_is_input_error(tmp_path, capsys):
-    path = tmp_path / "graph.json"
-    path.write_bytes(b'{"vertices": [{"id": "\xe9", "self": -1}]}')
-    code, out, err = run_cli(capsys, "peel", str(path))
-    assert out == ""
-    _assert_one_error_line(code, err, "is not valid JSON: 'utf-8' codec")
-
-
-def test_deeply_nested_json_is_input_error(tmp_path, capsys):
-    path = tmp_path / "graph.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    code, out, err = run_cli(capsys, "peel", str(path))
-    assert out == ""
-    _assert_one_error_line(code, err, "is nested too deeply to read")
-
-
-def test_empty_class_is_input_error(capsys):
-    code, out, err = run_cli(
-        capsys, "zariski", f"{FIXTURES}/one_point_model.json", "--class=",
-        "--candidates", f"{FIXTURES}/one_point_candidates.json")
-    assert out == ""
-    _assert_one_error_line(code, err, "empty class vector")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -600,9 +539,27 @@ def test_empty_class_is_input_error(capsys):
     # selftest prints its criterion lines in one format only
     (lambda tmp: ["selftest", "--criterion", "8", "--format", "table"],
      "unrecognized arguments: --format table"),
+    (lambda tmp: ["search", "ex4", "--g", "10-12", "--x", "8:8", "--y", "1:1"],
+     "--g expects LO:HI (got '10-12')"),
+    (lambda tmp: ["peel", "no/such/file.json"],
+     "cannot read no/such/file.json: [Errno 2] No such file or directory: "
+     "'no/such/file.json'"),
+    (lambda tmp: ["zariski", f"{FIXTURES}/one_point_model.json", "--class=",
+                  "--candidates", f"{FIXTURES}/one_point_candidates.json"],
+     "empty class vector"),
+    # D_inf on F_0 has genus 0, as a lone (-2)-vertex has, but square 0
+    (lambda tmp: ["invariants",
+                  _write_json(tmp, "model.json",
+                              {"kind": "hirzebruch", "e": 0, "points": 0}),
+                  _write_json(tmp, "graph.json",
+                              {"vertices": [{"id": "A", "self": -2}]}),
+                  "--class", "1,0"],
+     "inconsistent boundary square sources: the class gives 0, "
+     "the dual graph gives -2"),
 ], ids=["span", "span-underscore", "span-space", "span-digits",
         "span-fraction", "int-underscore", "int-digits", "class-space",
-        "residual", "rounds", "selftest-format"])
+        "residual", "rounds", "selftest-format", "span-dash", "missing-file",
+        "class-empty", "ruled-boundary"])
 def test_refused_run_is_one_error_line(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv(tmp_path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
