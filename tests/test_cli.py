@@ -13,15 +13,17 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import Mock
 
 import pytest
 
 from logpair.cli import _compact_span, build_parser, main
-from logpair.errors import InputError
+from logpair.errors import InputError, InternalError
 from logpair.examples import MAX_EX3_A
 from logpair.jsonio import (MAX_CANDIDATES, MAX_GRAM_ROWS, MAX_GRAPH_VERTICES,
                             MAX_MODEL_POINTS)
 from logpair.search import MAX_GRID_POINTS
+from logpair.selftest import CriterionResult
 
 FIXTURES = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures")
 
@@ -30,98 +32,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_peel_fixture(capsys):
-    code, out, _ = run_cli(capsys, "peel", f"{FIXTURES}/d4_fork.json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["coefficients"] == {"C": 1, "T1": 1, "T2": 1, "T3": 1}
-    assert doc["bark_square"] == -2
-    assert doc["tips"] == 3
-    assert doc["bound_ok"] is True
-    assert doc["segments"][0]["kind"] == "fork"
-
-
-def test_zariski_fixture(capsys):
-    code, out, _ = run_cli(
-        capsys, "zariski", f"{FIXTURES}/one_point_model.json",
-        "--class", "1,2",
-        "--candidates", f"{FIXTURES}/one_point_candidates.json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["P"] == [1, 0]
-    assert doc["N"] == [0, 2]
-    assert doc["support"] == [0]
-    assert doc["checks"]["all_ok"] is True
-    assert doc["nef_scope"] == "relative to the supplied candidate set only"
-
-
-def test_invariants_fixture(capsys):
-    code, out, _ = run_cli(
-        capsys, "invariants", f"{FIXTURES}/sextic_model.json",
-        f"{FIXTURES}/sextic_graph.json",
-        "--class", "6,-2,-2,-2,-2,-2,-2,-2,-2")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pa_D"] == 2
-    assert doc["c1bar_sq"] == 1
-    assert doc["c2bar"] == 5
-    assert doc["e_open"] == 5
-    assert doc["chi_bar"] == 2
-    assert doc["checks"]["noether"] is True
-    assert doc["checks"]["bmy"] is True
-    assert doc["checks"]["chi_omega_log"] == -2
-
-
-def test_pencil_fixture(capsys):
-    code, out, _ = run_cli(
-        capsys, "pencil", f"{FIXTURES}/sextic_model.json",
-        "--divisor", "6,-2,-2,-2,-2,-2,-2,-2,-2",
-        "--candidates", f"{FIXTURES}/sextic_candidates.json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["g"] == 0
-    assert doc["k"] == 4
-    assert doc["b"] == 0
-    assert doc["big"] is True
-    assert doc["residual"] == [1, 0, 0, 0, 0, 0, 0, 0, -1]
-    assert len(doc["fixed_parts"]) == 1
-    assert doc["fixed_parts"][0]["pairing"] == -1
-
-
-def test_example_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "example", "run", "ex2")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["name"] == "ex2"
-    assert doc["noether_holds"] is True
-    assert doc["pencil"]["g"] == 0
-    code3, out3, _ = run_cli(capsys, "example", "run", "ex3", "--a", "4")
-    doc3 = json.loads(out3)
-    assert code3 == 0
-    assert doc3["a"] == 4
-    assert doc3["k_reference"] == 12
-    assert doc3["k_discrepancy"] is True
-
-
-def test_search_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "search", "ex4", "--g", "10:10",
-                           "--x", "8:8", "--y", "1:1")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["row_count"] == 1
-    assert doc["rows"][0]["inequalities"]["dim_positive"] is False
-    assert doc["reference_claim"]["discrepancy"] is True
-
-
-def test_search_table_format(capsys):
-    code, out, _ = run_cli(capsys, "search", "ex4", "--g", "10:10",
-                           "--x", "8:8", "--y", "1:1",
-                           "--format", "table")
-    assert code == 0
-    assert "dim_positive" in out
-    assert "disagrees with the circulated claim" in out
 
 
 def test_compact_span_compresses_runs():
@@ -306,19 +216,6 @@ def test_runs_in_one_process_match_fresh_processes():
         assert _in_process(REUSE_MIX[i]) == fresh[i], REUSE_MIX[i]
 
 
-def test_byte_identical_reruns(capsys):
-    args = ("invariants", f"{FIXTURES}/sextic_model.json",
-            f"{FIXTURES}/sextic_graph.json",
-            "--class", "6,-2,-2,-2,-2,-2,-2,-2,-2")
-    _, out1, _ = run_cli(capsys, *args)
-    _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
-    assert out1.endswith("\n")
-    # canonical form: keys sorted at every level
-    doc = json.loads(out1)
-    assert list(doc) == sorted(doc)
-
-
 def test_manifest_written(tmp_path, capsys):
     mpath = str(tmp_path / "manifest.json")
     fork = f"{FIXTURES}/d4_fork.json"
@@ -333,26 +230,6 @@ def test_manifest_written(tmp_path, capsys):
         assert doc["command"] == [*argv, "--manifest", mpath]
 
 
-def test_strong_euler_conclusion_is_a_bool_on_every_golden(
-        capsys, monkeypatch):
-    # every model with Hodge data has p_g = 0, so theorem 2's strong
-    # conclusion is evaluated on every report that carries one
-    monkeypatch.chdir(pathlib.Path(FIXTURES).parent)
-    seen = 0
-    for argv in _golden_argvs():
-        if argv[0] not in ("invariants", "example"):
-            continue
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        doc = json.loads(out)
-        value = (doc["checks"]["euler_strong_conclusion"]
-                 if argv[0] == "invariants"
-                 else doc["euler_bound"]["strong_conclusion_holds"])
-        assert type(value) is bool
-        seen += 1
-    assert seen == 8
-
-
 def test_selftest_filter(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--criterion", "8")
     assert code == 0
@@ -362,12 +239,36 @@ def test_selftest_filter(capsys):
     assert code2 == 1
 
 
-def test_table_format_kv(capsys):
-    code, out, _ = run_cli(capsys, "peel", f"{FIXTURES}/d4_fork.json",
-                           "--format", "table")
-    assert code == 0
-    assert "bark_square" in out
-    assert "{" not in out
+FAILED_CRITERION = CriterionResult(3, "peeling suite", False, "1 mismatch",
+                                   0.0)
+
+# a violated internal invariant, by id: (the function replaced, its
+# replacement, the command line, the whole stdout and the whole stderr);
+# each run must exit 2
+EXIT_TWO = {
+    "internal-error": ("logpair.cli.bark",
+                       Mock(side_effect=InternalError("bark lost a vertex")),
+                       ["peel", f"{FIXTURES}/d4_fork.json"], "",
+                       "internal error: bark lost a vertex\n"),
+    "assertion": ("logpair.cli.bark",
+                  Mock(side_effect=AssertionError(
+                      "negative bark coefficient")),
+                  ["peel", f"{FIXTURES}/d4_fork.json"], "",
+                  "internal error: negative bark coefficient\n"),
+    # the criterion lines are printed, then the numbers of those that failed
+    "failed-criterion": ("logpair.selftest.run_all",
+                         lambda only: [FAILED_CRITERION], ["selftest"],
+                         f"{FAILED_CRITERION.line()}\nFAILED criteria: 3\n",
+                         ""),
+}
+
+
+@pytest.mark.parametrize("target, replacement, argv, out, err",
+                         EXIT_TWO.values(), ids=list(EXIT_TWO))
+def test_violated_invariant_exits_two(monkeypatch, capsys, target,
+                                      replacement, argv, out, err):
+    monkeypatch.setattr(target, replacement)
+    assert run_cli(capsys, *argv) == (2, out, err)
 
 
 def test_console_script_entry_point():
@@ -376,20 +277,6 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
-
-
-def test_fractional_zariski_output_uses_pq_strings(capsys):
-    # the sextic adjoint against one conic gives thirds
-    code, out, _ = run_cli(
-        capsys, "zariski", f"{FIXTURES}/sextic_model.json",
-        "--class", "3,-1,-1,-1,-1,-1,-1,-1,-1",
-        "--candidates", f"{FIXTURES}/sextic_candidates.json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["N"][0] == "2/3"
-    assert doc["coefficients"] == ["1/3"]
-    floats = [v for v in doc["P"] + doc["N"] if isinstance(v, float)]
-    assert not floats
 
 
 def _write_json(tmp_path, name, doc) -> str:
@@ -702,6 +589,11 @@ REFUSED_RUNS = {
                   "6,-2,-2,-2,-2,-2,-2,-2,-3/2", "--candidates",
                   f"{FIXTURES}/sextic_candidates.json"],
                  "residual class is not integral"),
+    # the adjoint (1, 1/2) meets 3E1/2 at -3/4, which leaves the residual
+    # H - E1 of square 0, and D.(H - E1) = 7/2
+    "fiber-pairing": (["pencil", ONE_POINT, "--divisor", "4,-1/2",
+                       "--candidates", [[0, "3/2"]]],
+                      "boundary pairing with the fiber is not integral"),
     # the adjoint K + H = -2H + E1 meets the candidate H negatively, and
     # so does every class left by subtracting H from it
     "rounds": (["pencil", ONE_POINT, "--divisor", "1,0",

@@ -7,13 +7,21 @@ its JSON output is stored (tests/golden/<case>.json.sha256).  The
 `selftest` stdout is stored in tests/golden/selftest.txt with every
 timing masked, since only the timings vary from run to run.
 
+`FIELDS` holds, beside the bytes, the values a reader checks by hand in
+some of those files.  A regenerated golden that moves one of them fails
+until the table is changed with it, in the same diff.
+
 After a deliberate output change, regenerate every file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the files whose bytes change and the count left unchanged
+before it writes.
 """
 
 import hashlib
 import io
+import json
 import os
 import pathlib
 import re
@@ -71,6 +79,59 @@ HASHED = {
                               "--x", "5:12", "--y", "0:5"],
 }
 
+# every model with Hodge data has p_g = 0, so theorem 2's strong
+# conclusion is evaluated on every report that carries one
+STRONG = "euler_bound.strong_conclusion_holds"
+
+# the values read by hand in a golden file, by its name: in a JSON file,
+# a dotted path (a number indexes a list) and its exact value, bools and
+# "p/q" strings included; in a table, a string and whether the file holds it
+FIELDS = {
+    "peel_d4_fork.json": {
+        "coefficients": {"C": 1, "T1": 1, "T2": 1, "T3": 1},
+        "bark_square": -2, "tips": 3, "bound_ok": True,
+        "segments.0.kind": "fork",
+    },
+    # one key and value per line, no JSON braces
+    "peel_d4_fork.table.txt": {"bark_square": True, "{": False},
+    "zariski_one_point.json": {
+        "P": [1, 0], "N": [0, 2], "support": [0], "checks.all_ok": True,
+        "nef_scope": "relative to the supplied candidate set only",
+    },
+    # the sextic adjoint against one conic gives thirds, printed as "p/q"
+    "zariski_sextic_thirds.json": {
+        "P": ["7/3", *["-2/3"] * 7, -1], "N": ["2/3", *["-1/3"] * 7, 0],
+        "coefficients": ["1/3"],
+    },
+    "invariants_sextic.json": {
+        "pa_D": 2, "c1bar_sq": 1, "c2bar": 5, "e_open": 5, "chi_bar": 2,
+        "checks.noether": True, "checks.bmy": True,
+        "checks.chi_omega_log": -2, "checks.euler_strong_conclusion": False,
+    },
+    "pencil_sextic.json": {
+        "g": 0, "k": 4, "b": 0, "big": True,
+        "residual": [1, *[0] * 7, -1],
+        "fixed_parts": [{"class": [2, *[-1] * 7, 0], "dim_bound": -2,
+                         "pairing": -1}],
+    },
+    "example_ex2.json": {"name": "ex2", "noether_holds": True, "pencil.g": 0,
+                         STRONG: False},
+    "example_ex3_a2.json": {STRONG: False},
+    "example_ex3_a3.json": {STRONG: False},
+    "example_ex3_a4.json": {"a": 4, "k_reference": 12, "k_discrepancy": True,
+                            STRONG: False},
+    "example_ex3_a5.json": {STRONG: False},
+    "example_ex3_a6.json": {STRONG: False},
+    "example_ex3_a40.json": {STRONG: False},
+    "search_ex4_reference.json": {
+        "row_count": 1, "rows.0.inequalities.dim_positive": False,
+        "reference_claim.discrepancy": True,
+    },
+    "search_ex4_reference.table.txt": {
+        "dim_positive": True, "disagrees with the circulated claim": True,
+    },
+}
+
 TIMING = re.compile(r"\d+\.\d{3}s")
 
 
@@ -104,6 +165,28 @@ def test_golden_output(filename, argv):
     assert _stdout(argv) == (GOLDEN / filename).read_bytes()
 
 
+def _at(doc, path: str):
+    for key in path.split("."):
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    return doc
+
+
+def _exact(fields: dict) -> str:
+    # as JSON text, so that true is not 1 and "2/3" is not 2/3
+    return json.dumps(fields, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("filename", list(FIELDS))
+def test_golden_fields(filename):
+    want = FIELDS[filename]
+    text = (GOLDEN / filename).read_text(encoding="utf-8")
+    if filename.endswith(".json"):
+        doc = json.loads(text)
+        assert _exact({p: _at(doc, p) for p in want}) == _exact(want)
+    else:
+        assert {s: s in text for s in want} == want
+
+
 @pytest.mark.parametrize("name", sorted(HASHED))
 def test_golden_digest(name):
     want = (GOLDEN / f"{name}.json.sha256").read_text().strip()
@@ -123,13 +206,20 @@ def test_golden_selftest(monkeypatch, selftest_results):
 
 
 def regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    for filename, argv in _expected():
-        (GOLDEN / filename).write_bytes(_stdout(argv))
+    files = {filename: _stdout(argv) for filename, argv in _expected()}
     for name, argv in HASHED.items():
         digest = hashlib.sha256(_stdout(argv)).hexdigest()
-        (GOLDEN / f"{name}.json.sha256").write_text(digest + "\n")
-    (GOLDEN / "selftest.txt").write_bytes(_selftest_masked())
+        files[f"{name}.json.sha256"] = f"{digest}\n".encode()
+    files["selftest.txt"] = _selftest_masked()
+    changed = [f for f, data in files.items()
+               if not (GOLDEN / f).is_file()
+               or (GOLDEN / f).read_bytes() != data]
+    for filename in changed:
+        print(f"changed: {filename}")
+    print(f"unchanged: {len(files) - len(changed)}")
+    GOLDEN.mkdir(exist_ok=True)
+    for filename in changed:
+        (GOLDEN / filename).write_bytes(files[filename])
 
 
 if __name__ == "__main__":

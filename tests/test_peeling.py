@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from logpair import (DualGraph, Edge, SurfaceModel, Vertex, bark,
+from logpair import (DualGraph, Edge, SurfaceModel, Vertex,
+                     analyze_adjoint_system, bark, invariant_report,
                      zariski_decompose)
 from logpair.dualgraph import bark_rhs
 from logpair.examples import degenerate_plane_config, sextic_config
@@ -475,3 +476,61 @@ def test_bark_is_the_graph_negative_part():
 ])
 def test_bark_is_the_graph_negative_part_on_a_known_gap(g):
     assert bark(g).coefficients == _graph_n(g)
+
+
+# ROADMAP S: P^1 x P^1 = hirzebruch(0, t) with three horizontal lines
+# A1, A2, A3 (class A) and t vertical lines B1..Bt (class B), blown up at
+# the t points A3 . Bi.  D = A1 + A2 + A3' + sum Bi' is SNC: A1 and A2
+# (square 0) each meet every Bi' = B - Ei (square -1) once, and
+# A3' = A - sum Ei (square -t) meets nothing.  It is a family on which
+# theorem 2's hypothesis holds, which no bundled pair gives.
+COMB_T = (3, 4, 5, 8, 20)
+
+
+def _comb(t):
+    """(model, D, the boundary graph with its classes, A3')."""
+    model = SurfaceModel.hirzebruch(0, t)
+    a, a3 = model.ruled_class(1, 0), model.ruled_class(1, 0, [1] * t)
+    bs = [f"B{i}" for i in range(1, t + 1)]
+    classes = {"A1": a, "A2": a, "A3": a3,
+               **{b: model.ruled_class(0, 1, [0] * i + [1])
+                  for i, b in enumerate(bs)}}
+    graph = DualGraph([Vertex("A1", 0, 0), Vertex("A2", 0, 0),
+                       Vertex("A3", 0, -t), *(Vertex(b, 0, -1) for b in bs)],
+                      [Edge(end, b) for end in ("A1", "A2") for b in bs],
+                      model, classes)
+    return model, model.ruled_class(3, t, [2] * t), graph, a3
+
+
+@pytest.mark.parametrize("t", COMB_T)
+def test_comb_matches_its_closed_forms(t):
+    model, boundary, graph, a3 = _comb(t)
+    rep = invariant_report(model, boundary, graph)
+    inv = rep.invariants
+    assert (inv.c1bar_sq, inv.pa_D, inv.pg_log, inv.l, model.hodge.h11) \
+        == (t - 4, t - 2, t - 1, 2 * t, t + 2)
+    assert rep.euler_bound.hypothesis_holds  # t - 2 <= 3t - 1
+    assert rep.bark.coefficients == {"A3": Fraction(2, t)}
+    assert rep.p_sq == t - 4 + Fraction(4, t)
+    # the Bi' are rational (-1) components, so the pair is not almost
+    # minimal; but K + D meets each Bi' at 0 and A3' meets no other
+    # component, so the graph's N is still A3' alone
+    assert _graph_n(graph) == rep.bark.coefficients
+    # A3' is the one candidate: A1 and A2 share a class, and a candidate
+    # list must be pairwise distinct
+    res = analyze_adjoint_system(model, boundary, [a3])
+    assert [(fp.cls, fp.pairing) for fp in res.fixed_parts] == [(a3, -2)]
+    assert (res.multiple, res.g, res.k, res.b) == (t - 2, 0, 3, 0)
+    # P: h^0(K + D) by the pencil over P^1 and by the graph
+    assert res.multiple + 1 == inv.pg_log
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP C: e_open counts the nodes once too often, so c2bar "
+           "is -t - 2, while e(S - D) = e(S) - e(D) = (t + 4) - 6 = t - 2 "
+           "from the graph; with that value P^2/3 <= c2bar - N^2/4 reduces "
+           "to 2t - 2 - 1/t >= 0 and holds for every t >= 1")
+def test_comb_satisfies_bmy():
+    assert [invariant_report(*_comb(t)[:3]).bmy_holds for t in COMB_T] \
+        == [True] * len(COMB_T)
