@@ -81,6 +81,43 @@ def _golden_argvs() -> list:
     return [*golden.CASES.values(), *golden.HASHED.values()]
 
 
+def test_invariants_fixture(capsys):
+    code, out, _ = run_cli(
+        capsys, "invariants", f"{FIXTURES}/sextic_model.json",
+        f"{FIXTURES}/sextic_graph.json",
+        "--class", "6,-2,-2,-2,-2,-2,-2,-2,-2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pa_D"] == 2
+    assert doc["c1bar_sq"] == 1
+    assert doc["c2bar"] == 5
+    assert doc["e_open"] == 5
+    assert doc["chi_bar"] == 2
+    assert doc["checks"]["noether"] is True
+    assert doc["checks"]["bmy"] is True
+    assert doc["checks"]["chi_omega_log"] == -2
+
+
+def test_strong_euler_conclusion_is_a_bool_on_every_golden(
+        capsys, monkeypatch):
+    # every model with Hodge data has p_g = 0, so theorem 2's strong
+    # conclusion is evaluated on every report that carries one
+    monkeypatch.chdir(pathlib.Path(FIXTURES).parent)
+    seen = 0
+    for argv in _golden_argvs():
+        if argv[0] not in ("invariants", "example"):
+            continue
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        value = (doc["checks"]["euler_strong_conclusion"]
+                 if argv[0] == "invariants"
+                 else doc["euler_bound"]["strong_conclusion_holds"])
+        assert type(value) is bool
+        seen += 1
+    assert seen == 8
+
+
 # a value that starts with a minus sign, spelled apart from its option;
 # the paths are relative to the repository root
 LEADING_MINUS = [
