@@ -22,7 +22,7 @@ from typing import Optional
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
 from .invariants import invariant_report
-from .jsonio import record_fields
+from .jsonio import describe_model, record_fields
 from .lattice import DivisorClass, SurfaceModel
 # zariski and pencil through the module, for the reason given in
 # zariski.py
@@ -88,7 +88,7 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
     z = zariski.zariski_decompose(model, adjoint,
                                   list(graph.class_map.values()))
     return {
-        "model": model.describe(),
+        "model": describe_model(model),
         "boundary": boundary,
         "boundary_square": rep.boundary_square,
         "arithmetic_genus": {

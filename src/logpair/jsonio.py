@@ -1,5 +1,9 @@
 """Canonical JSON interchange.
 
+Every document the program handles is read or written here: the model
+(`parse_model` and its inverse `describe_model`), graph, classes,
+candidates, reports and the run manifest.
+
 Exact rationals never pass through floats: integers serialize as JSON
 numbers, everything else as "p/q" in lowest terms with positive q.
 Result records (NamedTuples) serialize field by field, under the names
@@ -28,7 +32,8 @@ from typing import Mapping, Sequence
 
 from .dualgraph import DualGraph, Edge, Vertex
 from .errors import InputError
-from .lattice import RATIONAL_RE, DivisorClass, SurfaceModel, parse_rational
+from .lattice import (RATIONAL_RE, DivisorClass, ModelKind, SurfaceModel,
+                      parse_rational)
 
 # largest model file accepted: room for the 1,997 points that
 # `example run ex3 --a 500` builds
@@ -198,6 +203,19 @@ def parse_model(data) -> SurfaceModel:
     raise InputError(
         f"unknown model kind {kind!r}; expected p2_blowup, hirzebruch "
         "or custom")
+
+
+def describe_model(model: SurfaceModel) -> dict:
+    """The model document that `parse_model` reads back to `model`."""
+    kind = model.kind.value
+    if model.kind is ModelKind.P2_BLOWUP:
+        return {"kind": kind, "points": model.num_points}
+    if model.kind is ModelKind.HIRZEBRUCH:
+        return {"kind": kind, "e": model.degree_e, "points": model.num_points}
+    rows = [dict(zip(*row)) for row in model.gram_ints]
+    return {"kind": kind, "gram": [
+        [Fraction(row.get(j, 0), model.gram_den) for j in range(len(rows))]
+        for row in rows]}
 
 
 def load_model(path: str) -> SurfaceModel:

@@ -313,18 +313,6 @@ class SurfaceModel(NamedTuple):
         k = self.canonical_class()
         return self.intersect(c, c + k) / 2 + 1
 
-    def describe(self) -> dict:
-        """JSON-ready description; inverse of the model file parser."""
-        if self.kind is ModelKind.P2_BLOWUP:
-            return {"kind": "p2_blowup", "points": self.num_points}
-        if self.kind is ModelKind.HIRZEBRUCH:
-            return {"kind": "hirzebruch", "e": self.degree_e,
-                    "points": self.num_points}
-        rows = [dict(zip(*row)) for row in self.gram_ints]
-        return {"kind": "custom", "gram": [
-            [Fraction(row.get(j, 0), self.gram_den) for j in range(len(rows))]
-            for row in rows]}
-
 
 def blow_up_transform(
     model: SurfaceModel,

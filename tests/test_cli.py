@@ -13,13 +13,16 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from unittest.mock import Mock
 
 import pytest
 
 from logpair.cli import _compact_span, build_parser, main
+from logpair.dualgraph import Segment, SegmentReport
 from logpair.errors import InputError, InternalError
 from logpair.examples import MAX_EX3_A
+from logpair.invariants import genus_bound, main_theorem_predicate
 from logpair.jsonio import (MAX_CANDIDATES, MAX_GRAM_ROWS, MAX_GRAPH_VERTICES,
                             MAX_MODEL_POINTS)
 from logpair.search import MAX_GRID_POINTS
@@ -279,9 +282,15 @@ def test_selftest_filter(capsys):
 FAILED_CRITERION = CriterionResult(3, "peeling suite", False, "1 mismatch",
                                    0.0)
 
+
+def _negated(check):
+    """A theorem check with its verdict turned round."""
+    return check._replace(passed=not check.passed)
+
+
 # a violated internal invariant, by id: (the function replaced, its
-# replacement, the command line, the whole stdout and the whole stderr);
-# each run must exit 2
+# replacement, the command line, the whole stdout with its timings
+# masked, and the whole stderr); each run must exit 2
 EXIT_TWO = {
     "internal-error": ("logpair.cli.bark",
                        Mock(side_effect=InternalError("bark lost a vertex")),
@@ -292,11 +301,43 @@ EXIT_TWO = {
                       "negative bark coefficient")),
                   ["peel", f"{FIXTURES}/d4_fork.json"], "",
                   "internal error: negative bark coefficient\n"),
+    # bark's own check of the coefficients it is given
+    "bark-coefficient": ("logpair.peeling.classify_segments",
+                         lambda g: SegmentReport([Segment(
+                             "rod", ("C",), coefficients=(Fraction(2),))]),
+                         ["peel", f"{FIXTURES}/d4_fork.json"], "",
+                         "internal error: bark coefficient 2 outside "
+                         "(0, 1] on an admissible rod\n"),
+    # the search's check that the e-window keeps only constructible rows
+    "e-window": ("logpair.search._construction_es",
+                 lambda g, x, y: range(g + 1),
+                 ["search", "ex4", "--g", "10:10", "--x", "8:8",
+                  "--y", "1:1"], "",
+                 "internal error: e-window admits (g,e,x,y)=(10,0,8,1), "
+                 "which fails a construction inequality\n"),
     # the criterion lines are printed, then the numbers of those that failed
     "failed-criterion": ("logpair.selftest.run_all",
                          lambda only: [FAILED_CRITERION], ["selftest"],
-                         f"{FAILED_CRITERION.line()}\nFAILED criteria: 3\n",
-                         ""),
+                         "criterion 3 [FAIL] peeling suite: 1 mismatch (#)\n"
+                         "FAILED criteria: 3\n", ""),
+    # a failed `_Check.equal` and a failed `_Check.expect` each print their
+    # message, joined with "; " in place of the criterion's note
+    "failed-equal": ("logpair.selftest.genus_bound",
+                     lambda g, x: genus_bound(g, x) + 1,
+                     ["selftest", "--criterion", "8"],
+                     "criterion 8 [FAIL] classification predicates: "
+                     "cap at (2,4): got Fraction(4, 1), want Fraction(3, 1); "
+                     "cap at (1,0): got Fraction(2, 1), want Fraction(1, 1) "
+                     "(#)\nFAILED criteria: 8\n", ""),
+    "failed-expect": ("logpair.selftest.main_theorem_predicate",
+                      lambda *a, **kw: _negated(main_theorem_predicate(
+                          *a, **kw)),
+                      ["selftest", "--criterion", "8"],
+                      "criterion 8 [FAIL] classification predicates: "
+                      "(1,1,2) should pass; (1,1,3) should pass; "
+                      "(1,1,5) should pass; (1,2,2) should pass; "
+                      "(2,1,2) should pass; (2,2,3) should fail "
+                      "(#)\nFAILED criteria: 8\n", ""),
 }
 
 
@@ -305,7 +346,8 @@ EXIT_TWO = {
 def test_violated_invariant_exits_two(monkeypatch, capsys, target,
                                       replacement, argv, out, err):
     monkeypatch.setattr(target, replacement)
-    assert run_cli(capsys, *argv) == (2, out, err)
+    code, got_out, got_err = run_cli(capsys, *argv)
+    assert (code, TIMING.sub("#", got_out), got_err) == (2, out, err)
 
 
 def test_console_script_entry_point():

@@ -8,6 +8,7 @@ import pytest
 
 from logpair import (DivisorClass, InputError, ModelKind, SurfaceModel,
                      blow_up_transform)
+from logpair.jsonio import describe_model
 
 
 def gram_matrix(m):
@@ -211,8 +212,8 @@ def test_custom_model_limits():
 
 def test_format_and_describe():
     m = SurfaceModel.plane_blowup(2)
-    assert m.describe() == {"kind": "p2_blowup", "points": 2}
-    assert SurfaceModel.hirzebruch(3, 1).describe() == {
+    assert describe_model(m) == {"kind": "p2_blowup", "points": 2}
+    assert describe_model(SurfaceModel.hirzebruch(3, 1)) == {
         "kind": "hirzebruch", "e": 3, "points": 1}
 
 
@@ -326,7 +327,7 @@ def test_custom_intersect_matches_double_loop(zero_share, spelled):
         model = SurfaceModel.custom(gram)
         # kept once, non-zero entries only, and rebuilt exactly
         assert all(all(entries) for _, entries in model.gram_ints)
-        assert model.describe() == {
+        assert describe_model(model) == {
             "kind": "custom",
             "gram": [[Fraction(v) for v in row] for row in gram]}
         for _ in range(6):
