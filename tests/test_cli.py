@@ -74,14 +74,19 @@ def test_argparse_errors_map_to_exit_one(capsys):
         _refusal(capsys, argv, "")
 
 
-def _golden_argvs() -> list:
-    """Every command line tests/test_golden.py pins, read from the file
-    so that no import mode has to put the tests on sys.path."""
+def _golden_module():
+    """tests/test_golden.py, read from the file so that no import mode
+    has to put the tests on sys.path."""
     spec = importlib.util.spec_from_file_location(
         "golden_cases", pathlib.Path(__file__).with_name("test_golden.py"))
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
-    return [*golden.CASES.values(), *golden.HASHED.values()]
+    return golden
+
+
+GOLDEN = _golden_module()
+# every command line tests/test_golden.py pins
+GOLDEN_ARGVS = [*GOLDEN.CASES.values(), *GOLDEN.HASHED.values()]
 
 
 def test_invariants_fixture(capsys):
@@ -107,7 +112,7 @@ def test_strong_euler_conclusion_is_a_bool_on_every_golden(
     # conclusion is evaluated on every report that carries one
     monkeypatch.chdir(pathlib.Path(FIXTURES).parent)
     seen = 0
-    for argv in _golden_argvs():
+    for argv in GOLDEN_ARGVS:
         if argv[0] not in ("invariants", "example"):
             continue
         code, out, _ = run_cli(capsys, *argv)
@@ -121,16 +126,8 @@ def test_strong_euler_conclusion_is_a_bool_on_every_golden(
     assert seen == 8
 
 
-# a value that starts with a minus sign, spelled apart from its option;
 # the paths are relative to the repository root
-LEADING_MINUS = [
-    ["zariski", "fixtures/one_point_model.json", "--class", "-1,2",
-     "--candidates", "fixtures/one_point_candidates.json"],
-    ["search", "ex4", "--g", "2:3", "--x", "8", "--y", "-1:1"],
-]
-
-
-@pytest.mark.parametrize("argv", LEADING_MINUS, ids=" ".join)
+@pytest.mark.parametrize("argv", GOLDEN.LEADING_MINUS, ids=" ".join)
 def test_leading_minus_value_reads_as_the_equals_spelling(
         capsys, monkeypatch, argv):
     # argparse took -1,2 and -1:1 for unknown options; the value must
@@ -144,38 +141,8 @@ def test_leading_minus_value_reads_as_the_equals_spelling(
     assert (code, out, err) == run_cli(capsys, *joined)
 
 
-# `main` builds arguments only for the subcommand named by argv[0]; each
-# of these must parse as it does with every subcommand's arguments
-PARSE_CASES = [
-    *([*argv, *fmt] for argv in _golden_argvs()
-      for fmt in ([], ["--format", "table"])),
-    # bad arguments
-    [], ["bogus"], ["peel"], ["peel", "a", "b"], ["example", "run", "ex5"],
-    ["example", "walk"], ["peel", "x", "--format", "xml"],
-    ["--format", "json", "peel", "x"], ["--foo", "peel", "x"],
-    ["--", "peel", "x"], ["selftest", "--criterion", "x"],
-    ["selftest", "--format", "table"],
-    ["example", "run", "ex3", "--a", "q"],
-    # values that start with a minus sign
-    *LEADING_MINUS,
-    # help and version
-    ["-h"], ["--version"], ["example", "run", "--help"],
-    *([cmd, "--help"] for cmd in ("peel", "zariski", "invariants", "pencil",
-                                  "example", "search", "selftest")),
-]
-
-
-def _parse(parser, argv) -> tuple:
-    """The namespace, the InputError text, or the SystemExit code with
-    what was printed, from one parse of argv."""
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            return "namespace", vars(parser.parse_args(argv))
-    except InputError as exc:
-        return "input error", str(exc)
-    except SystemExit as exc:
-        return "exit", exc.code, out.getvalue(), err.getvalue()
+PARSE_CASES = GOLDEN.PARSE_CASES
+_parse = GOLDEN.parse
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
@@ -197,7 +164,7 @@ def test_command_parser_gives_arguments_to_its_command_alone(name):
         text = _parse(parser, [other, "--help"])[2]
         usage = " ".join(text.partition("\n\n")[0].split())
         assert (usage == f"usage: logpair {other} [-h]") == (other != name)
-    for argv in _golden_argvs():
+    for argv in GOLDEN_ARGVS:
         if argv[0] != name and argv[1:]:
             assert _parse(parser, argv)[0] == "input error", argv
 

@@ -7,6 +7,10 @@ its JSON output is stored (tests/golden/<case>.json.sha256).  The
 `selftest` stdout is stored in tests/golden/selftest.txt with every
 timing masked, since only the timings vary from run to run.
 
+`PARSE_CASES` are parsed too: tests/golden/parse_cases.json holds, for
+each command line, the namespace, the input error or the exit with its
+printed text that a fresh parser gives, with help wrapped at 80 columns.
+
 `FIELDS` holds, beside the bytes, the values a reader checks by hand in
 some of those files.  A regenerated golden that moves one of them fails
 until the table is changed with it, in the same diff.
@@ -26,12 +30,13 @@ import os
 import pathlib
 import re
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import logpair.selftest
-from logpair.cli import main
+from logpair.cli import build_parser, main
+from logpair.errors import InputError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -78,6 +83,32 @@ HASHED = {
     "search_ex4_criterion6": ["search", "ex4", "--g", "8:40",
                               "--x", "5:12", "--y", "0:5"],
 }
+
+# a value that starts with a minus sign, spelled apart from its option
+LEADING_MINUS = [
+    ["zariski", f"{FIX}/one_point_model.json", "--class", "-1,2",
+     "--candidates", f"{FIX}/one_point_candidates.json"],
+    ["search", "ex4", "--g", "2:3", "--x", "8", "--y", "-1:1"],
+]
+
+# command lines whose parse is pinned in parse_cases.json
+PARSE_CASES = [
+    *([*argv, *fmt] for argv in [*CASES.values(), *HASHED.values()]
+      for fmt in ([], ["--format", "table"])),
+    # bad arguments
+    [], ["bogus"], ["peel"], ["peel", "a", "b"], ["example", "run", "ex5"],
+    ["example", "walk"], ["peel", "x", "--format", "xml"],
+    ["--format", "json", "peel", "x"], ["--foo", "peel", "x"],
+    ["--", "peel", "x"], ["selftest", "--criterion", "x"],
+    ["selftest", "--format", "table"],
+    ["example", "run", "ex3", "--a", "q"],
+    # values that start with a minus sign
+    *LEADING_MINUS,
+    # help and version
+    ["-h"], ["--version"], ["example", "run", "--help"],
+    *([cmd, "--help"] for cmd in ("peel", "zariski", "invariants", "pencil",
+                                  "example", "search", "selftest")),
+]
 
 # every model with Hodge data has p_g = 0, so theorem 2's strong
 # conclusion is evaluated on every report that carries one
@@ -147,6 +178,25 @@ def _selftest_masked() -> bytes:
     return TIMING.sub("#.###s", _stdout(["selftest"]).decode()).encode()
 
 
+def parse(parser, argv) -> list:
+    """The namespace, the InputError text, or the SystemExit code with
+    what was printed, from one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return ["namespace", vars(parser.parse_args(argv))]
+    except InputError as exc:
+        return ["input error", str(exc)]
+    except SystemExit as exc:
+        return ["exit", exc.code, out.getvalue(), err.getvalue()]
+
+
+def _parse_cases() -> bytes:
+    cases = [{"argv": argv, "outcome": parse(build_parser(), argv)}
+             for argv in PARSE_CASES]
+    return (json.dumps(cases, indent=1, sort_keys=True) + "\n").encode()
+
+
 def _expected():
     for name, argv in CASES.items():
         yield f"{name}.json", argv
@@ -193,6 +243,12 @@ def test_golden_digest(name):
     assert hashlib.sha256(_stdout(HASHED[name])).hexdigest() == want
 
 
+def test_golden_parse_cases(monkeypatch):
+    # argparse wraps help at the terminal's width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_cases() == (GOLDEN / "parse_cases.json").read_bytes()
+
+
 def test_golden_selftest(monkeypatch, selftest_results):
     # the criteria numbered 1..8, each line in the "criterion N [pass]" form;
     # the subcommand formats the session's results instead of rerunning them
@@ -211,6 +267,7 @@ def regenerate() -> None:
         digest = hashlib.sha256(_stdout(argv)).hexdigest()
         files[f"{name}.json.sha256"] = f"{digest}\n".encode()
     files["selftest.txt"] = _selftest_masked()
+    files["parse_cases.json"] = _parse_cases()
     changed = [f for f, data in files.items()
                if not (GOLDEN / f).is_file()
                or (GOLDEN / f).read_bytes() != data]
@@ -224,4 +281,5 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     sys.exit(regenerate())
