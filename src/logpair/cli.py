@@ -32,11 +32,21 @@ from .peeling import bark
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, arguments=None, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads -1,2 or -1:1 as an unknown option, and only a lone
         # number as a value; no option here starts with -<digit>
         self._negative_number_matcher = re.compile(r"-[0-9]")
+        # adds this parser's own arguments when it first parses, so that a
+        # run builds the arguments of the commands it names and no others
+        self._arguments = arguments
+
+    # argparse reaches a subcommand's parser through this method too
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments:
+            arguments, self._arguments = self._arguments, None
+            arguments(self)
+        return super().parse_known_args(args, namespace)
 
     # argparse exits with status 2 on bad arguments; bad arguments are
     # input errors here, so route them through InputError instead
@@ -59,84 +69,92 @@ def _span(text: str, name: str) -> tuple[int, int]:
     return parse_rational(parts[0]), parse_rational(parts[-1])
 
 
-def build_parser(command: Optional[str] = None) -> _Parser:
+def _manifest(sp):
+    sp.add_argument("--manifest", metavar="PATH",
+                    help="write a reproducibility manifest here")
+
+
+def _common(sp):
+    sp.add_argument("--format", choices=["json", "table"], default="json")
+    _manifest(sp)
+
+
+def _peel_arguments(sp):
+    sp.add_argument("graph", help="dual graph JSON file")
+    _common(sp)
+
+
+def _zariski_arguments(sp):
+    sp.add_argument("model", help="surface model JSON file")
+    sp.add_argument("--class", dest="cls", required=True,
+                    help="comma-separated coefficients")
+    sp.add_argument("--candidates", required=True,
+                    help="JSON file with an array of candidate classes")
+    _common(sp)
+
+
+def _invariants_arguments(sp):
+    sp.add_argument("model", help="surface model JSON file")
+    sp.add_argument("graph", help="dual graph JSON file")
+    sp.add_argument("--class", dest="cls", required=True,
+                    help="boundary class, comma-separated")
+    _common(sp)
+
+
+def _pencil_arguments(sp):
+    sp.add_argument("model", help="surface model JSON file")
+    sp.add_argument("--divisor", required=True,
+                    help="boundary class, comma-separated")
+    sp.add_argument("--candidates", required=True,
+                    help="JSON file with fixed-part candidates")
+    _common(sp)
+
+
+def _example_arguments(sp):
+    sp.add_subparsers(dest="action", required=True).add_parser(
+        "run", arguments=_example_run_arguments)
+
+
+def _example_run_arguments(sp):
+    sp.add_argument("name", choices=["ex2", "ex3"])
+    sp.add_argument("--a", type=_int, default=None,
+                    help="family parameter for ex3 (default 2)")
+    _common(sp)
+
+
+def _search_arguments(sp):
+    sp.add_argument("family", choices=["ex4"])
+    sp.add_argument("--g", required=True, metavar="LO:HI")
+    sp.add_argument("--x", required=True, metavar="LO:HI")
+    sp.add_argument("--y", required=True, metavar="LO:HI")
+    _common(sp)
+
+
+def _selftest_arguments(sp):
+    sp.add_argument("--criterion", type=_int, action="append", default=None,
+                    help="run only this criterion (repeatable)")
+    _manifest(sp)
+
+
+def build_parser() -> _Parser:
     """The `logpair` parser.  Every subcommand is registered with its
-    help text; when `command` names one, only that one gets its
-    arguments, and any other `command`, None included, gives all of them
-    theirs.  `main` passes argv[0], so a run builds the arguments it
-    parses and nothing more."""
+    help text and adds its arguments when it first parses."""
     p = _Parser(prog="logpair",
                 description="exact intersection-theory toolkit for "
                             "boundary pairs on rational surface models")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=text) for name, text in (
-        ("peel", "bark of a dual graph"),
-        ("zariski", "decompose a class against candidate curves"),
-        ("invariants", "log invariants and identity checks"),
-        ("pencil", "adjoint system analysis"),
-        ("example", "run a bundled configuration"),
-        ("search", "inequality grid search"),
-        ("selftest", "run the acceptance checks"))}
-    if command in parsers:
-        parsers = {command: parsers[command]}
-
-    def manifest(sp):
-        sp.add_argument("--manifest", metavar="PATH",
-                        help="write a reproducibility manifest here")
-
-    def common(sp):
-        sp.add_argument("--format", choices=["json", "table"],
-                        default="json")
-        manifest(sp)
-
-    if sp := parsers.get("peel"):
-        sp.add_argument("graph", help="dual graph JSON file")
-        common(sp)
-
-    if sp := parsers.get("zariski"):
-        sp.add_argument("model", help="surface model JSON file")
-        sp.add_argument("--class", dest="cls", required=True,
-                        help="comma-separated coefficients")
-        sp.add_argument("--candidates", required=True,
-                        help="JSON file with an array of candidate classes")
-        common(sp)
-
-    if sp := parsers.get("invariants"):
-        sp.add_argument("model", help="surface model JSON file")
-        sp.add_argument("graph", help="dual graph JSON file")
-        sp.add_argument("--class", dest="cls", required=True,
-                        help="boundary class, comma-separated")
-        common(sp)
-
-    if sp := parsers.get("pencil"):
-        sp.add_argument("model", help="surface model JSON file")
-        sp.add_argument("--divisor", required=True,
-                        help="boundary class, comma-separated")
-        sp.add_argument("--candidates", required=True,
-                        help="JSON file with fixed-part candidates")
-        common(sp)
-
-    if sp := parsers.get("example"):
-        esub = sp.add_subparsers(dest="action", required=True)
-        runp = esub.add_parser("run")
-        runp.add_argument("name", choices=["ex2", "ex3"])
-        runp.add_argument("--a", type=_int, default=None,
-                          help="family parameter for ex3 (default 2)")
-        common(runp)
-
-    if sp := parsers.get("search"):
-        sp.add_argument("family", choices=["ex4"])
-        sp.add_argument("--g", required=True, metavar="LO:HI")
-        sp.add_argument("--x", required=True, metavar="LO:HI")
-        sp.add_argument("--y", required=True, metavar="LO:HI")
-        common(sp)
-
-    if sp := parsers.get("selftest"):
-        sp.add_argument("--criterion", type=_int, action="append",
-                        default=None, help="run only this criterion "
-                                           "(repeatable)")
-        manifest(sp)
+    for name, text, arguments in (
+            ("peel", "bark of a dual graph", _peel_arguments),
+            ("zariski", "decompose a class against candidate curves",
+             _zariski_arguments),
+            ("invariants", "log invariants and identity checks",
+             _invariants_arguments),
+            ("pencil", "adjoint system analysis", _pencil_arguments),
+            ("example", "run a bundled configuration", _example_arguments),
+            ("search", "inequality grid search", _search_arguments),
+            ("selftest", "run the acceptance checks", _selftest_arguments)):
+        sub.add_parser(name, help=text, arguments=arguments)
     return p
 
 
@@ -303,7 +321,7 @@ def _run(args) -> tuple[str, int, list[str]]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         text, code, inputs = _run(args)

@@ -85,8 +85,9 @@ def _base_report(model: SurfaceModel, boundary: DivisorClass,
     rep = invariant_report(model, boundary, graph)
     bk = rep.bark
     adjoint = model.canonical_class() + boundary
-    z = zariski.zariski_decompose(model, adjoint,
-                                  list(graph.class_map.values()))
+    # components that share a class give one candidate
+    z = zariski.zariski_decompose(
+        model, adjoint, list(dict.fromkeys(graph.class_map.values())))
     return {
         "model": describe_model(model),
         "boundary": boundary,

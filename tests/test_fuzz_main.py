@@ -15,16 +15,25 @@ both formats.  Each run exits 0, or exits 1 with no stdout and one
 `error:` line; none exits 2 or raises, and none takes 1 s.  The count
 of runs that reach each report must meet its floor, so a change that
 turns the inputs into refusals fails here.
+
+Each `peel` report is also compared with the graph-only N of K + D
+from tests/test_peeling.py, except on a draw with a rational (-1)
+vertex, for the reason given there, and on one whose graph has no such
+N.
 """
 
+import importlib.util
 import io
 import json
+import pathlib
 import random
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from logpair.cli import main
+from logpair.jsonio import parse_graph
 
 DRAWS = 700
 
@@ -32,6 +41,23 @@ DRAWS = 700
 # random.Random(1): 214 of the 214 kept draws for peel and for
 # invariants, 156 for zariski and 6 for pencil; the floors sit below
 FLOORS = {"peel": 200, "invariants": 200, "zariski": 140, "pencil": 5}
+
+# of those 214, 159 peel reports are compared with the graph's N; 10
+# draws have a rational (-1) vertex and 45 graphs have no N
+GRAPH_N_FLOOR = 150
+
+
+def _peeling_tests():
+    """tests/test_peeling.py, read from the file so that no import mode
+    has to put the tests on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "peeling_tests", pathlib.Path(__file__).with_name("test_peeling.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_graph_n = _peeling_tests()._graph_n
 
 
 def _draw(rng):
@@ -86,6 +112,14 @@ def _run(argv) -> tuple:
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
 
 
+def _graph_n_of(graph):
+    """The graph's N of K + D by vertex id, or None for a draw whose
+    bark is not compared with it."""
+    if any(v["genus"] == 0 and v["self"] == -1 for v in graph["vertices"]):
+        return None
+    return _graph_n(parse_graph(graph))
+
+
 def _text(cls) -> str:
     return ",".join(map(str, cls))
 
@@ -96,6 +130,7 @@ def test_main_on_consistent_inputs(tmp_path):
         str(tmp_path / name) for name in ("model.json", "graph.json",
                                           "candidates.json"))
     reached = Counter()
+    compared = 0
     for _ in range(DRAWS):
         drawn = _draw(rng)
         if drawn is None:
@@ -123,6 +158,13 @@ def test_main_on_consistent_inputs(tmp_path):
                     reached[command, fmt] += 1
                     if command == "invariants" and fmt == "json":
                         assert json.loads(out)["checks"]["noether"], run
+                    if command == "peel" and fmt == "json":
+                        n = _graph_n_of(graph)
+                        if n is not None:
+                            coefficients = json.loads(out)["coefficients"]
+                            assert {v: Fraction(a) for v, a
+                                    in coefficients.items()} == n, run
+                            compared += 1
                     continue
                 assert code == 1, (run, err)
                 assert out == "", run
@@ -131,3 +173,4 @@ def test_main_on_consistent_inputs(tmp_path):
     for command, floor in FLOORS.items():
         for fmt in ("json", "table"):
             assert reached[command, fmt] >= floor, (command, fmt, reached)
+    assert compared >= GRAPH_N_FLOOR, compared

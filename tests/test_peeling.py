@@ -5,6 +5,7 @@ import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -12,9 +13,10 @@ from logpair import (DualGraph, Edge, SurfaceModel, Vertex,
                      analyze_adjoint_system, bark, invariant_report,
                      zariski_decompose)
 from logpair.dualgraph import bark_rhs
-from logpair.examples import degenerate_plane_config, sextic_config
+from logpair.examples import (_base_report, degenerate_plane_config,
+                               sextic_config)
 from logpair.jsonio import parse_graph, parse_model
-from logpair.linalg import solve_linear
+from logpair.linalg import is_negative_definite, solve_linear
 from logpair.selftest import random_bark_graph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -401,9 +403,11 @@ def test_bark_of_a_twig_past_a_double_edge_is_the_lattice_negative_part():
 # graphs with one are left out: whether N is their bark is a question
 # about minimality, not peeling.
 
-def _graph_n(g) -> dict:
+def _graph_n(g) -> Optional[dict]:
     """N of K + D against the components, by vertex id, from the graph's
-    genera, squares and multiplicities alone."""
+    genera, squares and multiplicities alone; None where the graph has no
+    such N, as a support is not negative definite or a coefficient is
+    negative."""
     ids = [v.id for v in g.vertices]
     gram = g.gram(ids)
     xc = [2 * v.genus - 2 + sum(row) - row[i]
@@ -411,9 +415,12 @@ def _graph_n(g) -> dict:
     active = [i for i, p in enumerate(xc) if p < 0]
     coeffs = []
     while active:
-        coeffs = solve_linear([[gram[i][j] for j in active] for i in active],
-                              [xc[i] for i in active])
-        assert coeffs is not None and min(coeffs) >= 0
+        support = [[gram[i][j] for j in active] for i in active]
+        if not is_negative_definite(support):
+            return None
+        coeffs = solve_linear(support, [xc[i] for i in active])
+        if min(coeffs) < 0:
+            return None
         newly = [j for j, p in enumerate(xc) if j not in active
                  and p < sum(a * gram[i][j] for i, a in zip(active, coeffs))]
         if not newly:
@@ -433,7 +440,9 @@ def test_bark_is_the_graph_negative_part():
             kinds["demoted"] += 1
             continue  # a known gap, below
         bk = bark(g)
-        assert bk.coefficients == _graph_n(g)
+        n = _graph_n(g)
+        assert n is not None
+        assert bk.coefficients == n
         kinds.update({s.kind for s in bk.report.admissible_segments})
     assert min(kinds[k] for k in ("rod", "twig", "fork", "demoted")) >= 10, \
         kinds
@@ -475,7 +484,9 @@ def test_bark_is_the_graph_negative_part():
         id="non-rational-end"),
 ])
 def test_bark_is_the_graph_negative_part_on_a_known_gap(g):
-    assert bark(g).coefficients == _graph_n(g)
+    n = _graph_n(g)
+    assert n is not None
+    assert bark(g).coefficients == n
 
 
 # ROADMAP S: P^1 x P^1 = hirzebruch(0, t) with three horizontal lines
@@ -515,7 +526,9 @@ def test_comb_matches_its_closed_forms(t):
     # the Bi' are rational (-1) components, so the pair is not almost
     # minimal; but K + D meets each Bi' at 0 and A3' meets no other
     # component, so the graph's N is still A3' alone
-    assert _graph_n(graph) == rep.bark.coefficients
+    n = _graph_n(graph)
+    assert n is not None
+    assert n == rep.bark.coefficients
     # A3' is the one candidate: A1 and A2 share a class, and a candidate
     # list must be pairwise distinct
     res = analyze_adjoint_system(model, boundary, [a3])
@@ -523,6 +536,21 @@ def test_comb_matches_its_closed_forms(t):
     assert (res.multiple, res.g, res.k, res.b) == (t - 2, 0, 3, 0)
     # P: h^0(K + D) by the pencil over P^1 and by the graph
     assert res.multiple + 1 == inv.pg_log
+
+
+@pytest.mark.parametrize("t", COMB_T)
+def test_comb_through_the_example_report(t):
+    # the report's Zariski decomposition of K + D takes the class A1 and A2
+    # share as one candidate; its support is A3' alone, at index 1
+    model, boundary, graph, a3 = _comb(t)
+    report = _base_report(model, boundary, graph, [a3])
+    bark_n = sum((a * graph.class_map[v] for v, a
+                  in report["bark"]["coefficients"].items()), model.zero())
+    assert report["zariski"]["support"] == [1]
+    assert report["zariski"]["N"] == a3 * Fraction(2, t) == bark_n
+    res = report["pencil"]
+    assert [(fp.cls, fp.pairing) for fp in res.fixed_parts] == [(a3, -2)]
+    assert (res.multiple, res.g, res.k, res.b) == (t - 2, 0, 3, 0)
 
 
 @pytest.mark.xfail(
