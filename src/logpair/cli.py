@@ -20,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from gettext import gettext
 from typing import Optional, Sequence
 
 from . import __version__
@@ -33,18 +34,22 @@ from .peeling import bark
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, add_help=arguments is None, **kwargs)
         # argparse reads -1,2 or -1:1 as an unknown option, and only a lone
         # number as a value; no option here starts with -<digit>
         self._negative_number_matcher = re.compile(r"-[0-9]")
-        # adds this parser's own arguments when it first parses, so that a
-        # run builds the arguments of the commands it names and no others
+        # adds this parser's arguments, -h first, when it first parses, so
+        # that a run builds the arguments of the commands it names alone
         self._arguments = arguments
 
     # argparse reaches a subcommand's parser through this method too
     def parse_known_args(self, args=None, namespace=None):
         if self._arguments:
             arguments, self._arguments = self._arguments, None
+            # the call argparse makes for add_help, so -h stays first
+            self.add_argument("-h", "--help", action="help",
+                              default=argparse.SUPPRESS,
+                              help=gettext("show this help message and exit"))
             arguments(self)
         return super().parse_known_args(args, namespace)
 
@@ -111,7 +116,8 @@ def _pencil_arguments(sp):
 
 
 def _example_arguments(sp):
-    sp.add_subparsers(dest="action", required=True).add_parser(
+    # a known prog spares argparse formatting the usage to derive it
+    sp.add_subparsers(dest="action", required=True, prog=sp.prog).add_parser(
         "run", arguments=_example_run_arguments)
 
 
@@ -143,7 +149,7 @@ def build_parser() -> _Parser:
                 description="exact intersection-theory toolkit for "
                             "boundary pairs on rational surface models")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, prog=p.prog)
     for name, text, arguments in (
             ("peel", "bark of a dual graph", _peel_arguments),
             ("zariski", "decompose a class against candidate curves",

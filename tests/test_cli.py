@@ -168,27 +168,27 @@ COMMANDS = ("peel", "zariski", "invariants", "pencil", "example", "search",
 def test_command_parser_gives_arguments_to_its_command_alone(monkeypatch,
                                                              name):
     # building every command's arguments on every run would cost each run
-    # the other six commands' arguments; besides -h, a parse adds the
-    # root's --version and the arguments of the command it names, which
-    # for `example` are its `run` parser's
+    # the other six commands' arguments; a parse adds the root's -h and
+    # --version and the arguments of the command it names, -h among them,
+    # which for `example` are its own -h and its `run` parser's
     added = set()
 
     def add_argument(parser, *args, **kwargs):
-        if args[:1] != ("-h",):
-            added.add(parser.prog)
+        added.add(parser.prog)
         return argparse.ArgumentParser.add_argument(parser, *args, **kwargs)
 
     monkeypatch.setattr(_Parser, "add_argument", add_argument)
     # selftest.txt is the output of the bare command
     argv = next((argv for argv in GOLDEN_ARGVS if argv[0] == name), [name])
     assert GOLDEN.parse(build_parser(), argv)[0] == "namespace"
-    assert added == {"logpair", "logpair example run" if name == "example"
-                     else f"logpair {name}"}
+    assert added == ({"logpair", "logpair example", "logpair example run"}
+                     if name == "example" else {"logpair", f"logpair {name}"})
 
 
 # one run of each kind `main` serves: every subcommand on the fixtures,
 # a table, a missing argument, an unknown command, a criterion that does
-# not exist and --version, which leaves through SystemExit
+# not exist, and --version and two --help runs, which leave through
+# SystemExit
 REUSE_MIX = [
     ["peel", f"{FIXTURES}/d4_fork.json"],
     ["zariski", f"{FIXTURES}/one_point_model.json", "--class", "1,2",
@@ -206,6 +206,8 @@ REUSE_MIX = [
     ["bogus"],
     ["selftest", "--criterion", "99"],
     ["--version"],
+    ["pencil", "--help"],
+    ["example", "run", "--help"],
 ]
 
 # selftest lines end in their timings, the one part that varies
@@ -230,10 +232,13 @@ def _fresh(argv) -> tuple:
     return proc.returncode, TIMING.sub("#", proc.stdout), proc.stderr
 
 
-def test_runs_in_one_process_match_fresh_processes():
+def test_runs_in_one_process_match_fresh_processes(monkeypatch):
     # the mix in order and then backwards, so that each run follows a
     # different run each time: nothing one run leaves behind may change
     # the exit code, stdout or stderr of the next
+    # argparse wraps help at the terminal's width, read from COLUMNS, which
+    # the fresh processes inherit
+    monkeypatch.setenv("COLUMNS", "80")
     fresh = [_fresh(argv) for argv in REUSE_MIX]
     assert {f[0] for f in fresh} == {0, 1}
     for i in [*range(len(REUSE_MIX)), *reversed(range(len(REUSE_MIX)))]:
